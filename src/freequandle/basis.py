@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import free_group as fg
 from .conj_quandle import QuandleElement, act
 from .independence import (
     IndependenceReport,
@@ -65,7 +66,7 @@ def _shrinks(tail: tuple[int, ...], q: QuandleElement, eps: int) -> bool:
     cancels completely, i.e. the tail ends with y^-eps u.
     """
     u = q.tail.letters
-    suffix = (-eps * (q.axis + 1),) + u
+    suffix = (fg.letter(q.axis, -eps),) + u
     k = len(suffix)
     return len(tail) >= k and tail[-k:] == suffix
 
@@ -88,6 +89,12 @@ def compute_T(axis: int, c: ClosureSet) -> list[Word]:
     """Closure tails on the given axis that no closure element can shorten."""
     return [e.tail for e in c.elements
             if e.axis == axis and is_shrinkable(e.tail, axis, c) is None]
+
+
+def _tail_filter(c: ClosureSet) -> tuple[QuandleElement, ...]:
+    """The per-axis non-shrinkable tails of c, axis by axis."""
+    return tuple(QuandleElement(axis, w)
+                 for axis in range(len(c.alphabet)) for w in compute_T(axis, c))
 
 
 def _verdicts(candidate) -> tuple[IndependenceReport, IndependenceReport]:
@@ -117,21 +124,11 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     both independence checkers run on the candidate.  A missing witness is
     reported, not fatal; it indicates the bound is too small.
     """
-    alphabet = c.alphabet
-    candidate = tuple(
-        QuandleElement(axis, w)
-        for axis in range(len(alphabet))
-        for w in compute_T(axis, c)
-    )
+    candidate = _tail_filter(c)
     stable = None
     if check_stability:
         bigger = closure(list(c.generators), c.bound + 2)
-        recomputed = tuple(
-            QuandleElement(axis, w)
-            for axis in range(len(alphabet))
-            for w in compute_T(axis, bigger)
-        )
-        stable = set(recomputed) == set(candidate)
+        stable = set(_tail_filter(bigger)) == set(candidate)
     hall, nielsen = _verdicts(candidate)
     return BasisReport(
         input_generators=c.generators,
@@ -154,24 +151,17 @@ def greedy_shrink(gens, c: ClosureSet) -> BasisReport:
     replacing the target and re-deduping.  Total tail length strictly
     decreases, so the loop terminates.
     """
-    working = list(dict.fromkeys(gens))
+    gens = tuple(dict.fromkeys(gens))
+    working = list(gens)
     moves: list[ShrinkMove] = []
     while True:
         wc = closure(working, c.bound)
-        move = None
         for ti, target in enumerate(working):
-            for q in wc.elements:
-                for eps in (-1, 1):
-                    if _shrinks(target.tail.letters, q, eps):
-                        move = (ti, ShrinkMove(target, q, eps, act(target, q, eps)))
-                        break
-                if move:
-                    break
-            if move:
+            mv = is_shrinkable(target.tail, target.axis, wc)
+            if mv is not None:
                 break
-        if move is None:
+        else:
             break
-        ti, mv = move
         moves.append(mv)
         working[ti] = mv.result
         working = list(dict.fromkeys(working))
@@ -179,11 +169,11 @@ def greedy_shrink(gens, c: ClosureSet) -> BasisReport:
     candidate = tuple(working)
     hall, nielsen = _verdicts(candidate)
     return BasisReport(
-        input_generators=tuple(dict.fromkeys(gens)),
+        input_generators=gens,
         bound=c.bound,
         candidate=candidate,
         method=METHOD_GREEDY,
-        witnesses=_witnesses(candidate, tuple(dict.fromkeys(gens)), c.bound),
+        witnesses=_witnesses(candidate, gens, c.bound),
         hall_verdict=hall,
         nielsen_verdict=nielsen,
         moves=tuple(moves),

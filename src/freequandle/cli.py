@@ -158,13 +158,9 @@ def cmd_check_independence(args) -> int:
 def _read_independence_input(path: str):
     """Each line is an element (element grammar) or a raw group word."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("alphabet:"):
-        raise ValueError("input file must start with 'alphabet: ...'")
-    alphabet = Alphabet.parse(lines[0][len("alphabet:"):])
+        alphabet, lines = sq.parse_header(fh.read())
     items = []
-    for ln in lines[1:]:
+    for ln in lines:
         elem = None
         try:
             elem = cq.parse_element(alphabet, ln)

@@ -29,7 +29,7 @@ class QuandleElement:
     def __post_init__(self):
         if not 0 <= self.axis < len(self.tail.alphabet):
             raise ValueError(f"axis {self.axis} out of alphabet bounds")
-        if self.tail.letters and abs(self.tail.letters[0]) - 1 == self.axis:
+        if self.tail.letters and fg.letter_generator(self.tail.letters[0]) == self.axis:
             raise ValueError("tail starts with the axis letter; not canonical")
 
     @property
@@ -44,16 +44,14 @@ def canonicalize(axis: int, tail: Word) -> QuandleElement:
     """Strip leading axis letters from the tail: x^(x^±1 u) = x^u."""
     letters = tail.letters
     i = 0
-    while i < len(letters) and abs(letters[i]) - 1 == axis:
+    while i < len(letters) and fg.letter_generator(letters[i]) == axis:
         i += 1
     return QuandleElement(axis, Word(tail.alphabet, letters[i:]))
 
 
 def to_group_word(e: QuandleElement) -> Word:
     """The reduced group word ``tail^-1 axis tail`` (length 2|tail| + 1)."""
-    t = e.tail.letters
-    letters = tuple(-lt for lt in reversed(t)) + (e.axis + 1,) + t
-    return Word(e.alphabet, letters)
+    return Word(e.alphabet, fg.conjugate_word(e.axis, e.tail.letters))
 
 
 def from_group_word(w: Word) -> QuandleElement:
@@ -62,15 +60,15 @@ def from_group_word(w: Word) -> QuandleElement:
     if n % 2 == 0:
         raise NotInFreeQuandle(f"word {w} has even length {n}")
     k = n // 2
-    center = w.letters[k]
-    if center < 0:
+    axis = fg.letter_generator(w.letters[k])
+    if w.letters[k] != fg.letter(axis, 1):
         raise NotInFreeQuandle(
             f"word {w} is conjugate to an inverse generator, not a generator"
         )
     suffix = w.letters[k + 1:]
-    if w.letters[:k] != tuple(-lt for lt in reversed(suffix)):
+    if w.letters != fg.conjugate_word(axis, suffix):
         raise NotInFreeQuandle(f"word {w} is not of the form u^-1 x u")
-    return canonicalize(center - 1, Word(w.alphabet, suffix))
+    return canonicalize(axis, Word(w.alphabet, suffix))
 
 
 def act(a: QuandleElement, q: QuandleElement, eps: int = RIGHT) -> QuandleElement:
@@ -81,10 +79,10 @@ def act(a: QuandleElement, q: QuandleElement, eps: int = RIGHT) -> QuandleElemen
     """
     if a.alphabet != q.alphabet:
         raise AlphabetMismatch("elements come from different alphabets")
-    gw = to_group_word(q)
+    gw = fg.conjugate_word(q.axis, q.tail.letters)
     if eps == -1:
-        gw = fg.invert(gw)
-    return canonicalize(a.axis, fg.multiply(a.tail, gw))
+        gw = fg.inverse(gw)
+    return canonicalize(a.axis, Word(a.alphabet, fg.reduced_product(a.tail.letters, gw)))
 
 
 def parse_element(alphabet: Alphabet, text: str) -> QuandleElement:
@@ -124,7 +122,7 @@ def random_element(alphabet: Alphabet, max_tail_len: int, rng: random.Random) ->
         lt = fg.letter(rng.randrange(n), rng.choice((1, -1)))
         if letters and letters[-1] == -lt:
             continue
-        if not letters and abs(lt) - 1 == axis:
+        if not letters and fg.letter_generator(lt) == axis:
             continue
         letters.append(lt)
     return QuandleElement(axis, Word(alphabet, tuple(letters)))

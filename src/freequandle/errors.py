@@ -42,7 +42,7 @@ class NotInClosure(FreeQuandleError):
 
 
 class WitnessNotFound(FreeQuandleError):
-    """A generation witness could not be built within the bound."""
+    """A derivation term does not replay to the element it derives."""
 
 
 class EmptyInputWord(FreeQuandleError):

@@ -2,7 +2,15 @@
 
 Letters are encoded as nonzero signed integers: ``+(i + 1)`` is generator
 ``i``, ``-(i + 1)`` its inverse.  Negation is inversion, which keeps the
-hot loops (reduction, multiplication) on plain integer tuples.
+hot loops on plain integer tuples.
+
+This module owns that encoding and the one reduction loop.  Other modules
+build and read letters with :func:`letter` and :func:`letter_generator`,
+and reduce, invert and build conjugates' group words through the
+tuple-level kernels :func:`reduced_product`, :func:`inverse` and
+:func:`conjugate_word`.  ``subquandle.closure`` keeps its cancellation-depth
+scan inline, because a function call per pair trial (millions per closure)
+would dominate its running time.
 """
 
 from __future__ import annotations
@@ -28,10 +36,6 @@ def letter(generator: int, sign: int) -> int:
 
 def letter_generator(lt: int) -> int:
     return abs(lt) - 1
-
-
-def letter_sign(lt: int) -> int:
-    return 1 if lt > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -69,15 +73,29 @@ class Alphabet:
         return cls(tuple(text.split()))
 
 
-def _reduce_letters(raw) -> tuple[int, ...]:
-    """Stack scan removing adjacent inverse pairs."""
-    out: list[int] = []
+def reduced_product(u: tuple[int, ...], raw) -> tuple[int, ...]:
+    """Reduced form of the reduced letters ``u`` followed by any letters ``raw``.
+
+    The one reduction loop: a stack scan removing adjacent inverse pairs.
+    """
+    out = list(u)
     for lt in raw:
         if out and out[-1] == -lt:
             out.pop()
         else:
             out.append(lt)
     return tuple(out)
+
+
+def inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The group inverse: reversed letters with flipped signs."""
+    return tuple(-lt for lt in reversed(letters))
+
+
+def conjugate_word(generator: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    """The group word ``tail^-1 x tail`` of generator x; reduced when the
+    tail is reduced and does not start with ``x^±1``."""
+    return inverse(tail) + (generator + 1,) + tail
 
 
 @dataclass(frozen=True)
@@ -119,24 +137,27 @@ def _check_same_alphabet(u: Word, v: Word) -> None:
 
 def reduce(alphabet: Alphabet, raw) -> Word:
     """Reduce an arbitrary sequence of letters to its unique normal form."""
-    return Word(alphabet, _reduce_letters(raw))
+    return Word(alphabet, reduced_product((), raw))
 
 
 def multiply(u: Word, v: Word) -> Word:
     """Reduced product ``uv``."""
     _check_same_alphabet(u, v)
-    out = list(u.letters)
-    for lt in v.letters:
-        if out and out[-1] == -lt:
-            out.pop()
-        else:
-            out.append(lt)
-    return Word(u.alphabet, tuple(out))
+    return Word(u.alphabet, reduced_product(u.letters, v.letters))
 
 
 def invert(w: Word) -> Word:
     """Reversed word with flipped signs; the group inverse."""
-    return Word(w.alphabet, tuple(-lt for lt in reversed(w.letters)))
+    return Word(w.alphabet, inverse(w.letters))
+
+
+def cancellation_depth(u: Word, v: Word) -> int:
+    """Number of letter pairs cancelled in the product u·v."""
+    c = 0
+    ul, vl = u.letters, v.letters
+    while c < len(ul) and c < len(vl) and ul[len(ul) - 1 - c] == -vl[c]:
+        c += 1
+    return c
 
 
 def conjugate(g: Word, h: Word, eps: int = 1) -> Word:

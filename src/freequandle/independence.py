@@ -18,7 +18,7 @@ from typing import Optional
 from . import free_group as fg
 from .conj_quandle import QuandleElement, to_group_word
 from .errors import EmptyInputWord
-from .free_group import Word
+from .free_group import Word, cancellation_depth
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,6 @@ class IndependenceReport:
     detail: str = ""
     failing_pair: Optional[tuple[str, str]] = None
     cancellation_depth: Optional[int] = None
-
-
-def cancellation_depth(u: Word, v: Word) -> int:
-    """Number of letter pairs cancelled in the product u·v."""
-    c = 0
-    ul, vl = u.letters, v.letters
-    while c < len(ul) and c < len(vl) and ul[len(ul) - 1 - c] == -vl[c]:
-        c += 1
-    return c
 
 
 def check_significant_factors(elements) -> IndependenceReport:
@@ -70,7 +61,7 @@ def check_significant_factors(elements) -> IndependenceReport:
     for a, b in pairs:
         label_u, u, iu = signed[a]
         label_v, v, iv = signed[b]
-        if u.letters == tuple(-lt for lt in reversed(v.letters)):
+        if u.letters == fg.inverse(v.letters):
             continue  # the excluded pairs u = v^-1
         c = cancellation_depth(u, v)
         if c > len(u) - iu or c > iv - 1:
@@ -82,10 +73,6 @@ def check_significant_factors(elements) -> IndependenceReport:
                 cancellation_depth=c,
             )
     return IndependenceReport("hall", True, detail="all pairwise products pass")
-
-
-def check_significant_factors_elements(elements) -> IndependenceReport:
-    return check_significant_factors(elements)
 
 
 def nielsen_independent(words) -> IndependenceReport:
@@ -109,25 +96,13 @@ def nielsen_independent(words) -> IndependenceReport:
     alphabet = words[0].alphabet
     identity_seen = False
 
-    def inv(t):
-        return tuple(-lt for lt in reversed(t))
-
-    def mul(a, b):
-        out = list(a)
-        for lt in b:
-            if out and out[-1] == -lt:
-                out.pop()
-            else:
-                out.append(lt)
-        return tuple(out)
-
     changed = True
     while changed:
         changed = False
         # drop duplicates and exact inverses, keeping earlier entries
         for i in range(len(work)):
             for j in range(i + 1, len(work)):
-                if work[j] == work[i] or work[j] == inv(work[i]):
+                if work[j] == work[i] or work[j] == fg.inverse(work[i]):
                     del work[j]
                     changed = True
                     break
@@ -141,8 +116,9 @@ def nielsen_independent(words) -> IndependenceReport:
                 if i == j:
                     continue
                 wi, wj = work[i], work[j]
-                for cand in (mul(wi, wj), mul(wi, inv(wj)),
-                             mul(wj, wi), mul(inv(wj), wi)):
+                wj_inv = fg.inverse(wj)
+                for cand in (fg.reduced_product(wi, wj), fg.reduced_product(wi, wj_inv),
+                             fg.reduced_product(wj, wi), fg.reduced_product(wj_inv, wi)):
                     if len(cand) < len(wi):
                         if not cand:
                             identity_seen = True

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import conj_quandle as cq
+from . import free_group as fg
 from .conj_quandle import QuandleElement, parse_element
 from .errors import (
     AlphabetMismatch,
@@ -20,6 +21,7 @@ from .errors import (
     ClosureTooLarge,
     EmptyGeneratorSet,
     NotInClosure,
+    WitnessNotFound,
 )
 from .free_group import Alphabet, Word
 
@@ -30,10 +32,6 @@ RawElement = tuple[int, tuple[int, ...]]  # (axis, canonical tail letters)
 
 def _raw(e: QuandleElement) -> RawElement:
     return (e.axis, e.tail.letters)
-
-
-def _group_word_raw(axis: int, tail: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-lt for lt in reversed(tail)) + (axis + 1,) + tail
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     elements: list[RawElement] = [_raw(g) for g in gens]
     index: dict[RawElement, int] = {e: i for i, e in enumerate(elements)}
     group_words: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-        (gw := _group_word_raw(a, t), tuple(-lt for lt in reversed(gw)))
+        (gw := fg.conjugate_word(a, t), fg.inverse(gw))
         for a, t in elements
     ]
     derivations: dict[int, tuple[int, int, int]] = {}
@@ -165,8 +163,8 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
                         continue
                     index[res] = len(elements)
                     elements.append(res)
-                    rgw = _group_word_raw(*res)
-                    group_words.append((rgw, tuple(-lt for lt in reversed(rgw))))
+                    rgw = fg.conjugate_word(*res)
+                    group_words.append((rgw, fg.inverse(rgw)))
                     derivations[index[res]] = (i, j, 1 if eps == 0 else -1)
                     if max_elements is not None and len(elements) > max_elements:
                         raise ClosureTooLarge(
@@ -216,22 +214,30 @@ def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
         return term
 
     term = build(e)
-    assert term.evaluate(c.generators) == e
+    if term.evaluate(c.generators) != e:
+        raise WitnessNotFound(f"derivation term {term} does not replay to {e}")
     return term
 
 
-def parse_problem(text: str) -> tuple[Alphabet, list[QuandleElement]]:
-    """Parse a subquandle problem file.
+def parse_header(text: str) -> tuple[Alphabet, list[str]]:
+    """Split an input file into its alphabet and its content lines.
 
-    Line 1 is ``alphabet: x y ...``; each following non-blank, non-comment
-    line is one generator in the element grammar.
+    Line 1 is ``alphabet: x y ...``; blank lines and ``#`` comments are
+    dropped, and the remaining lines are returned stripped.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("alphabet:"):
         raise ValueError("problem file must start with 'alphabet: ...'")
-    alphabet = Alphabet.parse(lines[0][len("alphabet:"):])
-    gens = [parse_element(alphabet, ln) for ln in lines[1:]]
+    return Alphabet.parse(lines[0][len("alphabet:"):]), lines[1:]
+
+
+def parse_problem(text: str) -> tuple[Alphabet, list[QuandleElement]]:
+    """Parse a subquandle problem file: a header (see :func:`parse_header`),
+    then one generator per line in the element grammar.
+    """
+    alphabet, lines = parse_header(text)
+    gens = [parse_element(alphabet, ln) for ln in lines]
     if not gens:
         raise EmptyGeneratorSet("problem file lists no generators")
     return alphabet, gens

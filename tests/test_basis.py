@@ -145,6 +145,21 @@ class TestGreedyShrink:
             total -= len(mv.target.tail) - len(mv.result.tail)
         assert total == sum(len(g.tail) for g in report.candidate)
 
+    def test_move_order_on_corpus(self, corpus_closures):
+        # every move is the first is_shrinkable finds, scanning the targets in
+        # working order against the working set's closure; none is left after
+        for gens, c in corpus_closures:
+            report = bs.greedy_shrink(gens, c)
+            working = list(dict.fromkeys(gens))
+            for mv in report.moves + (None,):
+                wc = sq.closure(working, c.bound)
+                shrinks = (bs.is_shrinkable(t.tail, t.axis, wc) for t in working)
+                assert next((m for m in shrinks if m is not None), None) == mv
+                if mv is not None:
+                    working[working.index(mv.target)] = mv.result
+                    working = list(dict.fromkeys(working))
+            assert tuple(working) == report.candidate
+
 
 class TestAgreement:
     def test_methods_generate_each_other(self, corpus_closures):

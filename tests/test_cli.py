@@ -178,8 +178,9 @@ class TestDeterminismAndRoundTrip:
     def test_bad_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("no header\n")
-        code, _, err = run(capsys, "basis", str(path))
-        assert code == 2 and err
+        for command in ("basis", "check-independence"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2 and not out and "must start with 'alphabet:" in err
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "basis", "/nonexistent/problem.txt")

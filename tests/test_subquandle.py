@@ -3,7 +3,13 @@ import pytest
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle import subquandle as sq
-from freequandle.errors import BoundTooSmall, ClosureTooLarge, EmptyGeneratorSet, NotInClosure
+from freequandle.errors import (
+    BoundTooSmall,
+    ClosureTooLarge,
+    EmptyGeneratorSet,
+    NotInClosure,
+    WitnessNotFound,
+)
 from freequandle.free_group import Alphabet
 
 XY = Alphabet(("x", "y"))
@@ -107,6 +113,17 @@ class TestExpress:
         c = sq.closure(els("x^(y)", "y"), 2)
         for e in c.elements:
             assert sq.express(c, e).evaluate(c.generators) == e
+
+    def test_corrupted_derivation_raises(self):
+        # the replay check is an explicit raise, so it also holds under -O
+        c = sq.closure(els("x^(y)", "y"), 2)
+        e = el("x")
+        a, q, eps = c.derivations[e]
+        assert cq.act(a, q, -eps) != e
+        corrupted = sq.ClosureSet(c.generators, c.bound, c.elements,
+                                  {**c.derivations, e: (a, q, -eps)})
+        with pytest.raises(WitnessNotFound):
+            sq.express(corrupted, e)
 
 
 class TestInvariants:
