@@ -102,18 +102,9 @@ def _verdicts(candidate) -> tuple[IndependenceReport, IndependenceReport]:
             nielsen_independent_elements(candidate))
 
 
-def _witnesses(candidate, targets, bound):
-    """Expression terms for each target over the candidate, within bound.
-
-    The witness closure stops as soon as every target is found; if some
-    target is unreachable the enumeration runs to the full bounded fixed
-    point before giving up on it.
-    """
-    sub = closure(candidate, bound, stop_when_contains=targets)
-    out: dict[QuandleElement, Optional[QuandleTerm]] = {}
-    for g in targets:
-        out[g] = express(sub, g) if g in sub else None
-    return out
+def _witnesses(sub: ClosureSet, targets):
+    """Expression terms over sub's generators for each target; None if absent."""
+    return {g: express(sub, g) if g in sub else None for g in targets}
 
 
 def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
@@ -129,33 +120,37 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     if check_stability:
         bigger = closure(list(c.generators), c.bound + 2)
         stable = set(_tail_filter(bigger)) == set(candidate)
+    # stops once every generator is found: a prefix of the full closure
+    # with the same derivations, or all of it if some generator is missing
+    sub = closure(candidate, c.bound, stop_when_contains=c.generators)
     hall, nielsen = _verdicts(candidate)
     return BasisReport(
         input_generators=c.generators,
         bound=c.bound,
         candidate=candidate,
         method=METHOD_PAPER,
-        witnesses=_witnesses(candidate, c.generators, c.bound),
+        witnesses=_witnesses(sub, c.generators),
         hall_verdict=hall,
         nielsen_verdict=nielsen,
         stable=stable,
     )
 
 
-def greedy_shrink(gens, c: ClosureSet) -> BasisReport:
-    """Shrink the generators against their own bounded closure.
+def greedy_shrink(c: ClosureSet) -> BasisReport:
+    """Shrink the generators of c against their own bounded closure.
 
-    The working set starts as the deduped input; each step applies the
-    first available move (smallest target index, then smallest shrinking
-    element index in the working set's closure, eps -1 before +1),
-    replacing the target and re-deduping.  Total tail length strictly
-    decreases, so the loop terminates.
+    The working set starts as c's (deduped) generators, with c as its
+    closure; each step applies the first available move (smallest target
+    index, then smallest shrinking element index in the working set's
+    closure, eps -1 before +1), replacing the target, re-deduping and
+    re-closing.  Total tail length strictly decreases, so the loop
+    terminates.  The witnesses come from the last working closure, the
+    full bounded closure of the candidate.
     """
-    gens = tuple(dict.fromkeys(gens))
-    working = list(gens)
+    working = list(c.generators)
+    wc = c
     moves: list[ShrinkMove] = []
     while True:
-        wc = closure(working, c.bound)
         for ti, target in enumerate(working):
             mv = is_shrinkable(target.tail, target.axis, wc)
             if mv is not None:
@@ -165,15 +160,16 @@ def greedy_shrink(gens, c: ClosureSet) -> BasisReport:
         moves.append(mv)
         working[ti] = mv.result
         working = list(dict.fromkeys(working))
+        wc = closure(working, c.bound)
 
     candidate = tuple(working)
     hall, nielsen = _verdicts(candidate)
     return BasisReport(
-        input_generators=gens,
+        input_generators=c.generators,
         bound=c.bound,
         candidate=candidate,
         method=METHOD_GREEDY,
-        witnesses=_witnesses(candidate, gens, c.bound),
+        witnesses=_witnesses(wc, c.generators),
         hall_verdict=hall,
         nielsen_verdict=nielsen,
         moves=tuple(moves),

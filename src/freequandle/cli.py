@@ -125,7 +125,7 @@ def cmd_basis(args) -> int:
     if args.method == "paper":
         report = basis_mod.compute_S(c, check_stability=args.check_stability)
     else:
-        report = basis_mod.greedy_shrink(gens, c)
+        report = basis_mod.greedy_shrink(c)
     print("\n".join(_emit_basis_report(report, args.format == "machine")))
     return 0 if report.certified else 1
 
@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-independence",
                        help="run the independence checkers on a file of "
                             "elements or group words")
-    add_common(p, file_input=True)
+    add_common(p)
+    p.add_argument("file", help="file of elements or group words (alphabet: "
+                   "header, one per line)")
     p.add_argument("--method", choices=("hall", "nielsen", "both"),
                    default="both")
     p.set_defaults(func=cmd_check_independence)

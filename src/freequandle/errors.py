@@ -46,4 +46,4 @@ class WitnessNotFound(FreeQuandleError):
 
 
 class EmptyInputWord(FreeQuandleError):
-    """Nielsen reduction received an identity word."""
+    """The independence check received an identity word."""

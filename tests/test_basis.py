@@ -117,12 +117,12 @@ class TestComputeS:
 class TestGreedyShrink:
     def test_single_generator(self):
         c = sq.closure(els("x"), 4)
-        report = bs.greedy_shrink(els("x"), c)
+        report = bs.greedy_shrink(c)
         assert report.candidate == (el("x"),)
         assert report.moves == ()
 
     def test_one_move(self, small_closure):
-        report = bs.greedy_shrink(els("x^(y)", "y"), small_closure)
+        report = bs.greedy_shrink(small_closure)
         assert set(report.candidate) == set(els("x", "y"))
         assert len(report.moves) == 1
         mv = report.moves[0]
@@ -131,13 +131,13 @@ class TestGreedyShrink:
         assert report.certified
 
     def test_rigid_set(self, rigid_closure):
-        report = bs.greedy_shrink(els("x^(y)", "x^(y^-1)"), rigid_closure)
+        report = bs.greedy_shrink(rigid_closure)
         assert set(report.candidate) == set(els("x^(y)", "x^(y^-1)"))
         assert report.moves == ()
         assert report.certified
 
     def test_descent(self, small_closure):
-        report = bs.greedy_shrink(els("x^(y)", "y"), small_closure)
+        report = bs.greedy_shrink(small_closure)
         total = sum(len(g.tail) for g in report.input_generators)
         for mv in report.moves:
             assert len(mv.result.tail) < len(mv.target.tail)
@@ -149,7 +149,7 @@ class TestGreedyShrink:
         # every move is the first is_shrinkable finds, scanning the targets in
         # working order against the working set's closure; none is left after
         for gens, c in corpus_closures:
-            report = bs.greedy_shrink(gens, c)
+            report = bs.greedy_shrink(c)
             working = list(dict.fromkeys(gens))
             for mv in report.moves + (None,):
                 wc = sq.closure(working, c.bound)
@@ -165,7 +165,7 @@ class TestAgreement:
     def test_methods_generate_each_other(self, corpus_closures):
         for gens, c in corpus_closures[:20]:
             paper = bs.compute_S(c).candidate
-            greedy = bs.greedy_shrink(gens, c).candidate
+            greedy = bs.greedy_shrink(c).candidate
             fwd = sq.closure(list(paper), c.bound, stop_when_contains=greedy)
             back = sq.closure(list(greedy), c.bound, stop_when_contains=paper)
             assert all(e in fwd for e in greedy)

@@ -119,6 +119,15 @@ class TestCheckIndependence:
                            "--method", "nielsen")
         assert code == 0 and "PASS" in out
 
+    def test_raw_words_dependent_nielsen_fails(self, capsys, tmp_path):
+        # {w1..w4} satisfy w1 w4 w2 w3 w2^-1 = w3^-1 w3^-1 w2^-1 w4^-1
+        path = tmp_path / "words.txt"
+        path.write_text("alphabet: a b c\na^-1 c\nc b^-1\nb a\nb^-1 a^-1 c^-1\n")
+        code, out, _ = run(capsys, "check-independence", str(path),
+                           "--method", "nielsen", "--format", "machine")
+        assert code == 1
+        assert out == "kind=verdict\tmethod=nielsen\tverdict=FAIL\n"
+
     def test_raw_words_rejected_for_hall(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("alphabet: x y\nx y\n")

@@ -11,6 +11,18 @@ from freequandle.errors import EmptyInputWord
 from freequandle.free_group import Alphabet
 
 XY = Alphabet(("x", "y"))
+ABC = Alphabet(("a", "b", "c"))
+
+# Dependent sets that a loop of strictly length-reducing Nielsen moves
+# passed, each with a relation lhs = rhs among its words (1-based index, sign).
+NIELSEN_FALSE_PASSES = [
+    (("a^-1 c", "c b^-1", "b a", "b^-1 a^-1 c^-1"),
+     [(1, 1), (4, 1), (2, 1), (3, 1), (2, -1)],
+     [(3, -1), (3, -1), (2, -1), (4, -1)]),
+    (("c c", "b^-1", "c a b^-1 c^-1", "a b^-1 c"),
+     [(1, 1), (4, 1), (1, -1), (3, -1)],
+     [(3, 1), (1, 1), (4, -1)]),
+]
 
 
 def el(text):
@@ -94,6 +106,73 @@ class TestNielsen:
     def test_identity_rejected(self):
         with pytest.raises(EmptyInputWord):
             ind.nielsen_independent([w("1")])
+
+
+def evaluate(words, symbols):
+    """Reduced product of the words named by (1-based index, sign) symbols."""
+    out = ()
+    for i, sign in symbols:
+        letters = words[i - 1]
+        out = fg.reduced_product(out, letters if sign == 1 else fg.inverse(letters))
+    return out
+
+
+class TestNielsenFalsePasses:
+    @pytest.mark.parametrize("texts, lhs, rhs", NIELSEN_FALSE_PASSES)
+    def test_dependent_set_fails(self, texts, lhs, rhs):
+        words = [fg.parse_word(ABC, t) for t in texts]
+        relator = lhs + [(i, -sign) for i, sign in reversed(rhs)]
+        # a nontrivial relation: a freely reduced word in the w_i ...
+        assert all(a != (b[0], -b[1]) for a, b in zip(relator, relator[1:]))
+        # ... whose product is the identity, independently of the checker
+        assert evaluate([u.letters for u in words], relator) == ()
+        report = ind.nielsen_independent(words)
+        assert not report.passed
+        assert report.detail == "4 distinct words generate a subgroup of rank 3"
+
+
+def transformed_basis(rng):
+    """A free basis (the letters or their squares) after random Nielsen moves."""
+    alphabet = Alphabet(("a", "b", "c", "d")[:rng.randint(2, 4)])
+    power = rng.choice((1, 2))
+    basis = [(i + 1,) * power for i in range(len(alphabet))]
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randrange(len(basis))
+        if rng.random() < 0.25:
+            basis[i] = fg.inverse(basis[i])
+        else:
+            j = rng.choice([j for j in range(len(basis)) if j != i])
+            wj = basis[j] if rng.random() < 0.5 else fg.inverse(basis[j])
+            basis[i] = fg.reduced_product(basis[i], wj)
+    return alphabet, basis
+
+
+class TestConstructedBases:
+    """Ground truth by construction: Nielsen moves keep a free basis free,
+    and one more product of its words makes it dependent."""
+
+    def test_transformed_basis_passes(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            alphabet, basis = transformed_basis(rng)
+            words = [fg.Word(alphabet, b) for b in basis]
+            assert ind.nielsen_independent(words).passed, basis
+
+    def test_basis_plus_product_fails(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            alphabet, basis = transformed_basis(rng)
+            symbols = []
+            while len(symbols) < rng.randint(2, 4):
+                s = (rng.randint(1, len(basis)), rng.choice((1, -1)))
+                if not symbols or symbols[-1] != (s[0], -s[1]):
+                    symbols.append(s)
+            # a reduced word of length >= 2 in a basis is neither the
+            # identity nor one of the basis words
+            extra = evaluate(basis, symbols)
+            assert extra and extra not in basis
+            words = [fg.Word(alphabet, b) for b in basis + [extra]]
+            assert not ind.nielsen_independent(words).passed, (basis, extra)
 
 
 class TestCrossOracle:
