@@ -111,9 +111,12 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     """Candidate basis from the per-axis non-shrinkable tails.
 
     The candidate is certified a posteriori: generation witnesses for the
-    input generators are built from a re-closure of the candidate, and
-    both independence checkers run on the candidate.  A missing witness is
-    reported, not fatal; it indicates the bound is too small.
+    input generators are built from a re-closure of the candidate at the
+    same bound, and both independence checkers run on the candidate.  No
+    witness can be missing: each shrinkable element e of c is
+    act(e', q, -eps) for the shorter elements e' = act(e, q, eps) and q of
+    c, so by induction on tail length the re-closure regenerates all of c
+    within the bound.  The witness check stays as a guard.
     """
     candidate = _tail_filter(c)
     stable = None

@@ -120,6 +120,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    if args.check_stability and args.method != "paper":
+        raise ValueError("--check-stability applies to --method paper only")
     _, gens = _read_problem(args.file)
     c = sq.closure(gens, args.max_tail_len)
     if args.method == "paper":
@@ -131,24 +133,24 @@ def cmd_basis(args) -> int:
 
 
 def cmd_check_independence(args) -> int:
-    alphabet, items = _read_independence_input(args.file)
+    _, items = _read_independence_input(args.file)
     out: list[str] = []
     ok = True
     machine = args.format == "machine"
-    if args.method in ("hall", "both"):
-        elements = []
-        for text, elem, word in items:
-            if elem is None:
-                print(f"error: {text!r} is not a free-quandle element; "
-                      "the hall method needs elements", file=sys.stderr)
-                return 2
-            elements.append(elem)
-        verdict = ind.check_significant_factors(elements)
+    raw = next((text for text, elem, _ in items if elem is None), None)
+    if raw is not None and args.method == "hall":
+        print(f"error: {raw!r} is not a free-quandle element; "
+              "the hall method needs elements", file=sys.stderr)
+        return 2
+    if raw is not None and args.method == "both":
+        print(f"note: {raw!r} is not a free-quandle element; "
+              "hall skipped, nielsen only", file=sys.stderr)
+    if raw is None and args.method in ("hall", "both"):
+        verdict = ind.check_significant_factors([elem for _, elem, _ in items])
         _emit_verdict(out, verdict, machine)
-        ok = ok and verdict.passed
+        ok = verdict.passed
     if args.method in ("nielsen", "both"):
-        words = [word for _, _, word in items]
-        verdict = ind.nielsen_independent(words)
+        verdict = ind.nielsen_independent([word for _, _, word in items])
         _emit_verdict(out, verdict, machine)
         ok = ok and verdict.passed
     print("\n".join(out))
@@ -161,13 +163,11 @@ def _read_independence_input(path: str):
         alphabet, lines = sq.parse_header(fh.read())
     items = []
     for ln in lines:
-        elem = None
         try:
             elem = cq.parse_element(alphabet, ln)
+            word = cq.to_group_word(elem)
         except NotInFreeQuandle:
-            pass
-        word = cq.to_group_word(elem) if elem is not None \
-            else fg.parse_word(alphabet, ln)
+            elem, word = None, fg.parse_word(alphabet, ln)
         items.append((ln, elem, word))
     if not items:
         raise ValueError("input file lists no elements or words")
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, file_input=True)
     p.add_argument("--method", choices=("paper", "greedy"), default="paper")
     p.add_argument("--check-stability", action="store_true",
-                   help="recompute the candidate at L+2 and flag a change")
+                   help="recompute the candidate at L+2 and flag a change "
+                        "(paper method only)")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("check-independence",

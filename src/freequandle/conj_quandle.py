@@ -40,13 +40,17 @@ class QuandleElement:
         return format_element(self)
 
 
-def canonicalize(axis: int, tail: Word) -> QuandleElement:
-    """Strip leading axis letters from the tail: x^(x^±1 u) = x^u."""
-    letters = tail.letters
+def canonical_tail(axis: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip leading axis letters from tail letters: x^(x^±1 u) = x^u."""
     i = 0
     while i < len(letters) and fg.letter_generator(letters[i]) == axis:
         i += 1
-    return QuandleElement(axis, Word(tail.alphabet, letters[i:]))
+    return letters[i:]
+
+
+def canonicalize(axis: int, tail: Word) -> QuandleElement:
+    """The canonical element ``axis^tail``; see :func:`canonical_tail`."""
+    return QuandleElement(axis, Word(tail.alphabet, canonical_tail(axis, tail.letters)))
 
 
 def to_group_word(e: QuandleElement) -> Word:
@@ -82,7 +86,8 @@ def act(a: QuandleElement, q: QuandleElement, eps: int = RIGHT) -> QuandleElemen
     gw = fg.conjugate_word(q.axis, q.tail.letters)
     if eps == -1:
         gw = fg.inverse(gw)
-    return canonicalize(a.axis, Word(a.alphabet, fg.reduced_product(a.tail.letters, gw)))
+    tail = canonical_tail(a.axis, fg.reduced_product(a.tail.letters, gw))
+    return QuandleElement(a.axis, Word(a.alphabet, tail))
 
 
 def parse_element(alphabet: Alphabet, text: str) -> QuandleElement:

@@ -8,9 +8,10 @@ This module owns that encoding and the one reduction loop.  Other modules
 build and read letters with :func:`letter` and :func:`letter_generator`,
 and reduce, invert and build conjugates' group words through the
 tuple-level kernels :func:`reduced_product`, :func:`inverse` and
-:func:`conjugate_word`.  ``subquandle.closure`` keeps its cancellation-depth
-scan inline, because a function call per pair trial (millions per closure)
-would dominate its running time.
+:func:`conjugate_word`.  ``subquandle.closure`` keeps only its
+cancellation-depth scan inline, because a function call per pair trial
+(millions per closure) would dominate its running time; it materializes
+the trials that pass through ``conj_quandle.canonical_tail``.
 """
 
 from __future__ import annotations

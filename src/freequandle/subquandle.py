@@ -30,10 +30,6 @@ DEFAULT_BOUND = 8
 RawElement = tuple[int, tuple[int, ...]]  # (axis, canonical tail letters)
 
 
-def _raw(e: QuandleElement) -> RawElement:
-    return (e.axis, e.tail.letters)
-
-
 @dataclass(frozen=True)
 class QuandleTerm:
     """Expression tree over a generating list; Leaf(i) names generator i."""
@@ -90,6 +86,47 @@ class ClosureSet:
         return e in self.derivations or e in self.generators
 
 
+def _acting_words(e: RawElement):
+    """The group words of e and of its inverse, each with its eps."""
+    gw = fg.conjugate_word(*e)
+    return (gw, 1), (fg.inverse(gw), -1)
+
+
+def _new_elements(elements: list[RawElement], bound: int):
+    """Semi-naive fixed point of act(a, q, ±1) over ``elements``, in place.
+
+    Appends each new within-bound product to ``elements`` and yields its
+    derivation ``(i, j, eps)``: elements[i] acted on by elements[j].  Each
+    round tries the pairs with at least one element new since the last
+    round, i in insertion order, then j, then eps +1 before -1.
+    """
+    seen = set(elements)
+    acting = [_acting_words(e) for e in elements]
+    done = 0  # pairs among elements[:done] are already tried
+    while done < len(elements):
+        prev, done = done, len(elements)
+        for i in range(done):
+            axis, tail = elements[i]
+            la = len(tail)
+            for j in range(prev if i < prev else 0, done):
+                for gw, eps in acting[j]:
+                    lg = len(gw)
+                    # cancellation depth of tail · gw, before materializing
+                    c = 0
+                    while c < la and c < lg and tail[la - 1 - c] == -gw[c]:
+                        c += 1
+                    # a surviving first tail letter leaves nothing to strip
+                    if c < la and la + lg - 2 * c > bound:
+                        continue
+                    res = (axis, cq.canonical_tail(axis, tail[:la - c] + gw[c:]))
+                    if len(res[1]) > bound or res in seen:
+                        continue
+                    seen.add(res)
+                    elements.append(res)
+                    acting.append(_acting_words(res))
+                    yield i, j, eps
+
+
 def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None,
             stop_when_contains=None) -> ClosureSet:
     """Fixed point of act(a, q, ±1) over ordered pairs, tails capped at ``bound``.
@@ -115,75 +152,26 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
                 f"generator {g} has tail length {len(g.tail)} > bound {bound}"
             )
 
-    elements: list[RawElement] = [_raw(g) for g in gens]
-    index: dict[RawElement, int] = {e: i for i, e in enumerate(elements)}
-    group_words: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-        (gw := fg.conjugate_word(a, t), fg.inverse(gw))
-        for a, t in elements
-    ]
-    derivations: dict[int, tuple[int, int, int]] = {}
+    elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
+    derivations: list[tuple[int, int, int]] = []  # of elements[len(gens):]
     missing = None
     if stop_when_contains is not None:
-        missing = {_raw(e) for e in stop_when_contains} - set(index)
-
-    done = 0  # pairs among elements[:done] are already processed
-    while done < len(elements) and missing != set():
-        prev = done
-        done = len(elements)
-        n = done
-        for i in range(n):
-            axis, tail = elements[i]
-            la = len(tail)
-            axis_letter = axis + 1
-            for j in range(n):
-                if i < prev and j < prev:
-                    continue
-                pair = group_words[j]
-                for eps in (0, 1):
-                    gw = pair[eps]
-                    lg = len(gw)
-                    # cancellation depth of tail · gw, before materializing
-                    c = 0
-                    while c < la and c < lg and tail[la - 1 - c] == -gw[c]:
-                        c += 1
-                    if c < la:
-                        # first tail letter survives; no axis stripping
-                        if la + lg - 2 * c > bound:
-                            continue
-                        res = (axis, tail[:la - c] + gw[c:])
-                    else:
-                        rest = gw[la:]
-                        k = 0
-                        while k < len(rest) and abs(rest[k]) == axis_letter:
-                            k += 1
-                        if len(rest) - k > bound:
-                            continue
-                        res = (axis, rest[k:])
-                    if res in index:
-                        continue
-                    index[res] = len(elements)
-                    elements.append(res)
-                    rgw = fg.conjugate_word(*res)
-                    group_words.append((rgw, fg.inverse(rgw)))
-                    derivations[index[res]] = (i, j, 1 if eps == 0 else -1)
-                    if max_elements is not None and len(elements) > max_elements:
-                        raise ClosureTooLarge(
-                            f"closure exceeded {max_elements} elements")
-                    if missing is not None:
-                        missing.discard(res)
-                        if not missing:
-                            break
-                if missing == set():
+        missing = {(e.axis, e.tail.letters) for e in stop_when_contains}
+        missing -= set(elements)
+    if missing != set():
+        for d in _new_elements(elements, bound):
+            derivations.append(d)
+            if max_elements is not None and len(elements) > max_elements:
+                raise ClosureTooLarge(f"closure exceeded {max_elements} elements")
+            if missing is not None:
+                missing.discard(elements[-1])
+                if not missing:
                     break
-            if missing == set():
-                break
 
-    wrapped = tuple(
-        QuandleElement(a, Word(alphabet, t)) for a, t in elements
-    )
+    wrapped = tuple(QuandleElement(a, Word(alphabet, t)) for a, t in elements)
     deriv = {
         wrapped[k]: (wrapped[i], wrapped[j], eps)
-        for k, (i, j, eps) in derivations.items()
+        for k, (i, j, eps) in enumerate(derivations, len(gens))
     }
     return ClosureSet(tuple(gens), bound, wrapped, deriv)
 

@@ -50,25 +50,27 @@ class TestIsShrinkable:
         assert cq.act(move.target, move.by, move.eps) == move.result
         assert len(move.result.tail) < len(move.target.tail)
 
-    def test_oracle_brute_force(self, small_closure):
+    def test_oracle_brute_force(self, small_closure, corpus_closures):
         # independent oracle: scan with explicit reduced multiplication
-        for e in small_closure.elements:
-            expected = None
-            for q in small_closure.elements:
-                for eps in (-1, 1):
-                    gw = cq.to_group_word(q)
-                    if eps == -1:
-                        gw = fg.invert(gw)
-                    if len(fg.multiply(e.tail, gw)) < len(e.tail):
-                        expected = (q, eps)
+        closures = [small_closure] + [c for _, c in corpus_closures if len(c) <= 200]
+        for c in closures:
+            for e in c.elements:
+                expected = None
+                for q in c.elements:
+                    for eps in (-1, 1):
+                        gw = cq.to_group_word(q)
+                        if eps == -1:
+                            gw = fg.invert(gw)
+                        if len(fg.multiply(e.tail, gw)) < len(e.tail):
+                            expected = (q, eps)
+                            break
+                    if expected:
                         break
-                if expected:
-                    break
-            move = bs.is_shrinkable(e.tail, e.axis, small_closure)
-            if expected is None:
-                assert move is None
-            else:
-                assert (move.by, move.eps) == expected
+                move = bs.is_shrinkable(e.tail, e.axis, c)
+                if expected is None:
+                    assert move is None
+                else:
+                    assert (move.by, move.eps) == expected
 
 
 class TestComputeT:

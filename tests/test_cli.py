@@ -88,6 +88,11 @@ class TestBasis:
         assert code == 0
         assert "x^(y) < y  ->  x" in out
 
+    def test_greedy_rejects_check_stability(self, capsys, problem_file):
+        code, out, err = run(capsys, "basis", problem_file, "--method", "greedy",
+                             "--max-tail-len", "2", "--check-stability")
+        assert code == 2 and not out and "--check-stability" in err
+
     def test_machine_format(self, capsys, rigid_file):
         code, out, _ = run(capsys, "basis", rigid_file, "--method", "paper",
                            "--max-tail-len", "4", "--format", "machine")
@@ -125,6 +130,28 @@ class TestCheckIndependence:
         path.write_text("alphabet: a b c\na^-1 c\nc b^-1\nb a\nb^-1 a^-1 c^-1\n")
         code, out, _ = run(capsys, "check-independence", str(path),
                            "--method", "nielsen", "--format", "machine")
+        assert code == 1
+        assert out == "kind=verdict\tmethod=nielsen\tverdict=FAIL\n"
+
+    def test_raw_words_both_runs_nielsen_only(self, capsys, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("alphabet: a b\na b\nb a^-1\n")
+        code, out, err = run(capsys, "check-independence", str(path),
+                             "--format", "machine")
+        assert code == 0
+        assert out == "kind=verdict\tmethod=nielsen\tverdict=PASS\n"
+        assert "'a b'" in err and "hall skipped" in err
+
+    @pytest.mark.parametrize("words", [
+        "a^-1 c\nc b^-1\nb a\nb^-1 a^-1 c^-1",
+        "c c\nb^-1\nc a b^-1 c^-1\na b^-1 c",
+    ], ids=["first", "second"])
+    def test_raw_words_dependent_both_fails(self, capsys, tmp_path, words):
+        # the two dependent sets a length-reducing Nielsen loop passed
+        path = tmp_path / "words.txt"
+        path.write_text(f"alphabet: a b c\n{words}\n")
+        code, out, _ = run(capsys, "check-independence", str(path),
+                           "--method", "both", "--format", "machine")
         assert code == 1
         assert out == "kind=verdict\tmethod=nielsen\tverdict=FAIL\n"
 

@@ -70,11 +70,36 @@ class TestClosure:
         for e, (a, q, eps) in c.derivations.items():
             assert cq.act(a, q, eps) == e
 
-    def test_early_stop_prefix(self):
+    def test_element_budget_boundary(self, corpus_closures):
+        fulls = [sq.closure(els("x^(y)", "y"), 2)] + [c for _, c in corpus_closures]
+        for full in fulls:
+            if len(full) == len(full.generators):
+                continue  # no element is ever added, so no budget check runs
+            at_size = sq.closure(full.generators, full.bound, max_elements=len(full))
+            assert at_size.elements == full.elements
+            with pytest.raises(ClosureTooLarge):
+                sq.closure(full.generators, full.bound, max_elements=len(full) - 1)
+
+    def test_early_stop_prefix(self, corpus_closures):
+        # stopping at the k-th element gives exactly the full closure's
+        # prefix through k (never fewer than the generators), and the same
+        # derivations for it
+        fulls = [sq.closure(els("x^(y)", "y"), 2)] + [c for _, c in corpus_closures]
+        for full in fulls:
+            gens = full.generators
+            for k, target in enumerate(full.elements):
+                partial = sq.closure(gens, full.bound, stop_when_contains=[target])
+                prefix = full.elements[:max(k + 1, len(gens))]
+                assert partial.elements == prefix
+                assert partial.derivations == {
+                    e: full.derivations[e] for e in prefix[len(gens):]}
+
+    def test_early_stop_absent_target_gives_full_closure(self):
         full = sq.closure(els("x^(y)", "y"), 2)
-        partial = sq.closure(els("x^(y)", "y"), 2, stop_when_contains=[el("x")])
-        assert el("x") in partial
-        assert partial.elements == full.elements[:len(partial.elements)]
+        for targets in ([el("x^(y y y)")], [el("x"), el("x^(y y y)")]):
+            partial = sq.closure(els("x^(y)", "y"), 2, stop_when_contains=targets)
+            assert partial.elements == full.elements
+            assert partial.derivations == full.derivations
 
 
 class TestContains:
