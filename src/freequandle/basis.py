@@ -97,14 +97,18 @@ def _tail_filter(c: ClosureSet) -> tuple[QuandleElement, ...]:
                  for axis in range(len(c.alphabet)) for w in compute_T(axis, c))
 
 
-def _verdicts(candidate) -> tuple[IndependenceReport, IndependenceReport]:
-    return (check_significant_factors(candidate),
-            nielsen_independent_elements(candidate))
-
-
-def _witnesses(sub: ClosureSet, targets):
-    """Expression terms over sub's generators for each target; None if absent."""
-    return {g: express(sub, g) if g in sub else None for g in targets}
+def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
+    """c's generators expressed in sub (None if absent), and both verdicts."""
+    return BasisReport(
+        input_generators=c.generators,
+        bound=c.bound,
+        candidate=candidate,
+        method=method,
+        witnesses={g: express(sub, g) if g in sub else None for g in c.generators},
+        hall_verdict=check_significant_factors(candidate),
+        nielsen_verdict=nielsen_independent_elements(candidate),
+        **extra,
+    )
 
 
 def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
@@ -126,17 +130,7 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     # stops once every generator is found: a prefix of the full closure
     # with the same derivations, or all of it if some generator is missing
     sub = closure(candidate, c.bound, stop_when_contains=c.generators)
-    hall, nielsen = _verdicts(candidate)
-    return BasisReport(
-        input_generators=c.generators,
-        bound=c.bound,
-        candidate=candidate,
-        method=METHOD_PAPER,
-        witnesses=_witnesses(sub, c.generators),
-        hall_verdict=hall,
-        nielsen_verdict=nielsen,
-        stable=stable,
-    )
+    return _report(c, candidate, METHOD_PAPER, sub, stable=stable)
 
 
 def greedy_shrink(c: ClosureSet) -> BasisReport:
@@ -165,15 +159,4 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
         working = list(dict.fromkeys(working))
         wc = closure(working, c.bound)
 
-    candidate = tuple(working)
-    hall, nielsen = _verdicts(candidate)
-    return BasisReport(
-        input_generators=c.generators,
-        bound=c.bound,
-        candidate=candidate,
-        method=METHOD_GREEDY,
-        witnesses=_witnesses(wc, c.generators),
-        hall_verdict=hall,
-        nielsen_verdict=nielsen,
-        moves=tuple(moves),
-    )
+    return _report(c, tuple(working), METHOD_GREEDY, wc, moves=tuple(moves))

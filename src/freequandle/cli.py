@@ -199,8 +199,9 @@ def cmd_verify_axioms(args) -> int:
 
 def cmd_express(args) -> int:
     alphabet, gens = _read_problem(args.file)
-    c = sq.closure(gens, args.max_tail_len)
     e = cq.parse_element(alphabet, args.element)
+    # a prefix of the full closure with the same derivations, so the same term
+    c = sq.closure(gens, args.max_tail_len, stop_when_contains=[e])
     if not sq.contains(c, e):
         print(f"error: {e} not found in closure at bound {c.bound}",
               file=sys.stderr)

@@ -6,12 +6,11 @@ hot loops on plain integer tuples.
 
 This module owns that encoding and the one reduction loop.  Other modules
 build and read letters with :func:`letter` and :func:`letter_generator`,
-and reduce, invert and build conjugates' group words through the
-tuple-level kernels :func:`reduced_product`, :func:`inverse` and
-:func:`conjugate_word`.  ``subquandle.closure`` keeps only its
-cancellation-depth scan inline, because a function call per pair trial
-(millions per closure) would dominate its running time; it materializes
-the trials that pass through ``conj_quandle.canonical_tail``.
+and work on reduced letter tuples through :func:`reduced_product`,
+:func:`inverse`, :func:`conjugate_word` and :func:`cancellation_depth`.
+``subquandle.closure`` inlines its depth scan, because a call per pair
+trial (millions per closure) would dominate its running time; it
+materializes the trials that pass through ``conj_quandle.canonical_tail``.
 """
 
 from __future__ import annotations
@@ -152,11 +151,10 @@ def invert(w: Word) -> Word:
     return Word(w.alphabet, inverse(w.letters))
 
 
-def cancellation_depth(u: Word, v: Word) -> int:
-    """Number of letter pairs cancelled in the product u·v."""
-    c = 0
-    ul, vl = u.letters, v.letters
-    while c < len(ul) and c < len(vl) and ul[len(ul) - 1 - c] == -vl[c]:
+def cancellation_depth(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """Number of letter pairs cancelled in the product of reduced letters u·v."""
+    c, n = 0, len(u)
+    while c < n and c < len(v) and u[n - 1 - c] == -v[c]:
         c += 1
     return c
 

@@ -1,11 +1,11 @@
 """Two independent checkers for independence of group words.
 
-The significant-factor checker marks the central axis letter of each
-conjugate and verifies that no pairwise product cancels deep enough to
-reach a marked letter (a sufficient criterion: a set with significant
-factors is a basis of the subgroup it generates).  The exact checker
-passes iff the rank ``E - V + 1`` of the words' folded Stallings graph
-equals the number of distinct words.
+The significant-factor checker marks the central letter of each conjugate
+and fails a product u·v (u != v^-1, found through v's partner entry v^-1)
+that cancels to a depth > min(|t_u|, |t_v|), i.e. reaches a marked letter;
+a set that passes is a basis of the subgroup it generates.  The exact
+checker passes iff the rank ``E - V + 1`` of the words' folded Stallings
+graph equals the number of distinct words.
 
 A significant-factor FAIL means "criterion inapplicable with central
 factors", not "dependent"; the exact verdict decides independence.
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import free_group as fg
-from .conj_quandle import QuandleElement, to_group_word
+from .conj_quandle import to_group_word
 from .errors import EmptyInputWord
-from .free_group import Word, cancellation_depth
+from .free_group import cancellation_depth
 
 
 @dataclass(frozen=True)
@@ -34,38 +34,34 @@ class IndependenceReport:
 def check_significant_factors(elements) -> IndependenceReport:
     """Check the central-letter significant-factor criterion on a set.
 
-    For each element x^w the marked letter is the central x (1-based index
-    |w|+1 into the group word); the inverse carries the mirrored index,
-    which is again the center.  Every ordered product u·v over the set and
-    its inverses (u != v^-1) must leave both marked letters uncancelled;
-    cancellation stopping exactly at a marked letter counts as a pass.
+    The marked letter of x^t, and of its inverse, is the central x, with
+    |t| letters on each side.  Every ordered product u·v over the set and
+    its inverses must leave both marked letters uncancelled: it fails iff
+    its cancellation depth exceeds min(|t_u|, |t_v|), so stopping exactly
+    at a marked letter passes.  The excluded pairs u = v^-1 are found by
+    comparing u with v's partner entry, the word of v^-1.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one element")
 
-    positives: list[tuple[str, Word, int]] = []
-    inverses: list[tuple[str, Word, int]] = []
-    for e in elements:
-        gw = to_group_word(e)
-        i = len(e.tail) + 1  # the central axis letter
-        positives.append((str(e), gw, i))
-        inverses.append((f"({e})^-1", fg.invert(gw), i))
-    signed = positives + inverses
+    # (label, letters, |t|); entry k + n is the inverse of entry k
+    n = len(elements)
+    signed = [(str(e), fg.conjugate_word(e.axis, e.tail.letters), len(e.tail))
+              for e in elements]
+    signed += [(f"({label})^-1", fg.inverse(w), half) for label, w, half in signed]
 
     # scan the positive-positive pairs first so failures are reported on
     # elements of the set itself whenever possible
-    npos = len(positives)
-    pairs = [(a, b) for a in range(npos) for b in range(npos)]
-    pairs += [(a, b) for a in range(len(signed)) for b in range(len(signed))
-              if a >= npos or b >= npos]
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    pairs += [(a, b) for a in range(2 * n) for b in range(2 * n) if a >= n or b >= n]
     for a, b in pairs:
-        label_u, u, iu = signed[a]
-        label_v, v, iv = signed[b]
-        if u.letters == fg.inverse(v.letters):
+        label_u, u, half_u = signed[a]
+        label_v, v, half_v = signed[b]
+        if u == signed[(b + n) % (2 * n)][1]:
             continue  # the excluded pairs u = v^-1
         c = cancellation_depth(u, v)
-        if c > len(u) - iu or c > iv - 1:
+        if c > min(half_u, half_v):
             return IndependenceReport(
                 "hall", False,
                 detail=(f"cancellation in {label_u} · {label_v} reaches a "

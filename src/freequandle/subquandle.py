@@ -154,6 +154,8 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
 
     elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
     derivations: list[tuple[int, int, int]] = []  # of elements[len(gens):]
+    if max_elements is not None and len(elements) > max_elements:
+        raise ClosureTooLarge(f"closure exceeded {max_elements} elements")
     missing = None
     if stop_when_contains is not None:
         missing = {(e.axis, e.tail.letters) for e in stop_when_contains}

@@ -5,6 +5,7 @@ import pytest
 from freequandle import cli
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
+from freequandle import subquandle as sq
 from freequandle.free_group import Alphabet
 
 XY = Alphabet(("x", "y"))
@@ -188,6 +189,15 @@ class TestExpress:
         code, _, err = run(capsys, "express", problem_file, "x^(y y y)",
                            "--max-tail-len", "2")
         assert code == 1 and "not found" in err
+
+    def test_term_matches_full_closure(self, capsys, problem_file):
+        _, gens = sq.parse_problem(PROBLEM)
+        full = sq.closure(gens, 4)
+        for e in full.elements:
+            code, out, _ = run(capsys, "express", problem_file, str(e),
+                               "--max-tail-len", "4", "--format", "machine")
+            assert code == 0
+            assert out == f"kind=expression\telement={e}\tterm={sq.express(full, e)}\n"
 
 
 class TestDeterminismAndRoundTrip:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from freequandle import basis
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle import independence as ind
@@ -44,19 +45,19 @@ nonempty_words = st.lists(
 
 class TestCancellationDepth:
     def test_no_cancellation(self):
-        assert ind.cancellation_depth(w("x y"), w("x")) == 0
+        assert ind.cancellation_depth(w("x y").letters, w("x").letters) == 0
 
     def test_single(self):
-        assert ind.cancellation_depth(w("x y"), w("y^-1 x")) == 1
+        assert ind.cancellation_depth(w("x y").letters, w("y^-1 x").letters) == 1
 
     @given(nonempty_words, nonempty_words)
     def test_zero_iff_no_boundary_inverse(self, u, v):
-        c = ind.cancellation_depth(u, v)
+        c = ind.cancellation_depth(u.letters, v.letters)
         assert (c == 0) == (u.letters[-1] != -v.letters[0])
 
     @given(nonempty_words, nonempty_words)
     def test_matches_length_drop(self, u, v):
-        c = ind.cancellation_depth(u, v)
+        c = ind.cancellation_depth(u.letters, v.letters)
         assert len(fg.multiply(u, v)) == len(u) + len(v) - 2 * c
 
 
@@ -83,6 +84,49 @@ class TestSignificantFactors:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             ind.check_significant_factors([])
+
+
+def restated_significant_factors(elements):
+    """The criterion from reduced-product lengths alone: the documented pair
+    order (positive pairs, then every pair with an inverse), u = v^-1
+    skipped, depth (|u| + |v| - |uv|) / 2 failing past either central letter.
+    """
+    n = len(elements)
+    signed = [(str(e), cq.to_group_word(e), len(e.tail)) for e in elements]
+    signed += [(f"({label})^-1", fg.invert(u), half) for label, u, half in signed]
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    pairs += [(a, b) for a in range(2 * n) for b in range(2 * n) if a >= n or b >= n]
+    for a, b in pairs:
+        (label_u, u, half_u), (label_v, v, half_v) = signed[a], signed[b]
+        uv = fg.multiply(u, v)
+        if uv.is_identity():
+            continue
+        depth = (len(u) + len(v) - len(uv)) // 2
+        if depth > half_u or depth > half_v:
+            return False, (label_u, label_v), depth
+    return True, None, None
+
+
+class TestSignificantFactorsPinned:
+    def check(self, elements):
+        report = ind.check_significant_factors(elements)
+        assert ((report.passed, report.failing_pair, report.cancellation_depth)
+                == restated_significant_factors(elements))
+
+    def test_corpus_generators_and_candidates(self, corpus_closures):
+        for gens, c in corpus_closures:
+            self.check(gens)
+            self.check([cq.QuandleElement(axis, t) for axis in range(len(c.alphabet))
+                        for t in basis.compute_T(axis, c)])
+
+    def test_random_sets_with_duplicates(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            alphabet = Alphabet(("x", "y", "z")[:rng.randint(1, 3)])
+            elements = [cq.random_element(alphabet, 4, rng) for _ in range(rng.randint(1, 4))]
+            elements += rng.choices(elements, k=rng.randint(0, 2))
+            rng.shuffle(elements)
+            self.check(elements)
 
 
 class TestNielsen:

@@ -71,10 +71,9 @@ class TestClosure:
             assert cq.act(a, q, eps) == e
 
     def test_element_budget_boundary(self, corpus_closures):
-        fulls = [sq.closure(els("x^(y)", "y"), 2)] + [c for _, c in corpus_closures]
+        fulls = [sq.closure(els("x^(y)", "y"), 2), sq.closure(els("x"), 4)]
+        fulls += [c for _, c in corpus_closures]
         for full in fulls:
-            if len(full) == len(full.generators):
-                continue  # no element is ever added, so no budget check runs
             at_size = sq.closure(full.generators, full.bound, max_elements=len(full))
             assert at_size.elements == full.elements
             with pytest.raises(ClosureTooLarge):
