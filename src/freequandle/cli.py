@@ -1,8 +1,10 @@
 """Batch command-line interface.
 
 Exit codes: 0 computed and certified/PASS, 1 computed but a verification
-FAILed, 2 bad input.  ``--format machine`` emits one tab-separated record
-per line, ``kind=...`` first and the remaining keys sorted, so identical
+FAILed, 2 bad input.  Each command yields ``(kind, fields, text)`` records
+and returns its exit code; :func:`_emit` alone chooses the format: the text
+lines, or with ``--format machine`` one tab-separated record per line,
+``kind=...`` first and the other non-None fields sorted by key, so identical
 inputs (and seeds) give byte-identical output.
 """
 
@@ -23,8 +25,21 @@ from .subquandle import DEFAULT_BOUND
 
 def _machine_record(kind: str, **fields) -> str:
     parts = [f"kind={kind}"]
-    parts += [f"{k}={fields[k]}" for k in sorted(fields)]
+    parts += [f"{k}={fields[k]}" for k in sorted(fields) if fields[k] is not None]
     return "\t".join(parts)
+
+
+def _emit(records, fmt: str) -> int:
+    """Print each record's ``fmt`` side that is not None; return the exit code."""
+    while True:
+        try:
+            kind, fields, text = next(records)
+        except StopIteration as done:
+            return done.value
+        if fmt == "machine":
+            text = None if kind is None else _machine_record(kind, **fields)
+        if text is not None:
+            print(text)
 
 
 def _read_problem(path: str):
@@ -32,94 +47,68 @@ def _read_problem(path: str):
         return sq.parse_problem(fh.read())
 
 
-def _emit_verdict(out, verdict: ind.IndependenceReport, machine: bool) -> None:
-    if machine:
-        rec = {"method": verdict.method,
-               "verdict": "PASS" if verdict.passed else "FAIL"}
-        if verdict.failing_pair:
-            rec["pair"] = " , ".join(verdict.failing_pair)
-        if verdict.cancellation_depth is not None:
-            rec["depth"] = verdict.cancellation_depth
-        out.append(_machine_record("verdict", **rec))
-    else:
-        status = "PASS" if verdict.passed else "FAIL"
-        out.append(f"{verdict.method}: {status} ({verdict.detail})")
+def _verdict_record(verdict: ind.IndependenceReport):
+    status = "PASS" if verdict.passed else "FAIL"
+    fields = {"method": verdict.method, "verdict": status,
+              "pair": " , ".join(verdict.failing_pair or ()) or None,
+              "depth": verdict.cancellation_depth}
+    return "verdict", fields, f"{verdict.method}: {status} ({verdict.detail})"
 
 
-def _emit_basis_report(report: basis_mod.BasisReport, machine: bool) -> list[str]:
-    out: list[str] = []
-    if machine:
-        out.append(_machine_record(
-            "basis", bound=report.bound, method=report.method,
-            size=len(report.candidate)))
-        for e in report.candidate:
-            out.append(_machine_record("candidate", element=e))
-        for mv in report.moves:
-            out.append(_machine_record(
-                "move", by=mv.by, eps=mv.eps, result=mv.result, target=mv.target))
-        for g, term in report.witnesses.items():
-            out.append(_machine_record(
-                "witness", generator=g, term="MISSING" if term is None else term))
-        _emit_verdict(out, report.hall_verdict, True)
-        _emit_verdict(out, report.nielsen_verdict, True)
-        if report.stable is not None:
-            out.append(_machine_record("stability", stable=report.stable))
-        out.append(_machine_record(
-            "certified", value="yes" if report.certified else "no"))
-    else:
-        out.append(f"method: {report.method}   bound L = {report.bound}")
-        out.append("candidate basis: " + ", ".join(str(e) for e in report.candidate))
-        if report.moves:
-            out.append("moves:")
-            for mv in report.moves:
-                op = ">" if mv.eps == 1 else "<"
-                out.append(f"  {mv.target} {op} {mv.by}  ->  {mv.result}")
-        out.append("witnesses:")
-        for g, term in report.witnesses.items():
-            out.append(f"  {g} = {'MISSING (bound too small?)' if term is None else term}")
-        _emit_verdict(out, report.hall_verdict, False)
-        _emit_verdict(out, report.nielsen_verdict, False)
-        if report.stable is not None:
-            out.append(f"stable at L+2: {'yes' if report.stable else 'NO'}")
-        out.append("certified free basis" if report.certified
-                   else "NOT certified")
-    return out
+def _basis_records(report: basis_mod.BasisReport):
+    candidate = [str(e) for e in report.candidate]
+    yield ("basis", {"bound": report.bound, "method": report.method,
+                     "size": len(candidate)},
+           f"method: {report.method}   bound L = {report.bound}")
+    yield None, None, "candidate basis: " + ", ".join(candidate)
+    for e in candidate:
+        yield "candidate", {"element": e}, None
+    if report.moves:
+        yield None, None, "moves:"
+    for mv in report.moves:
+        target, by, result = str(mv.target), str(mv.by), str(mv.result)
+        op = ">" if mv.eps == 1 else "<"
+        yield ("move", {"by": by, "eps": mv.eps, "result": result, "target": target},
+               f"  {target} {op} {by}  ->  {result}")
+    yield None, None, "witnesses:"
+    for g, term in report.witnesses.items():
+        g, term = str(g), term and str(term)
+        yield ("witness", {"generator": g, "term": term or "MISSING"},
+               f"  {g} = {term or 'MISSING (bound too small?)'}")
+    yield from map(_verdict_record, (report.hall_verdict, report.nielsen_verdict))
+    if report.stable is not None:
+        yield ("stability", {"stable": report.stable},
+               f"stable at L+2: {'yes' if report.stable else 'NO'}")
+    yield ("certified", {"value": "yes" if report.certified else "no"},
+           "certified free basis" if report.certified else "NOT certified")
 
 
-def cmd_reduce(args) -> int:
-    alphabet = Alphabet.parse(args.alphabet)
-    word = fg.parse_word(alphabet, args.word)
-    print(_machine_record("word", value=word) if args.format == "machine"
-          else str(word))
+def cmd_reduce(args):
+    word = str(fg.parse_word(Alphabet.parse(args.alphabet), args.word))
+    yield "word", {"value": word}, word
     return 0
 
 
-def cmd_qop(args) -> int:
+def cmd_qop(args):
     alphabet = Alphabet.parse(args.alphabet)
     a = cq.parse_element(alphabet, args.element)
     q = cq.parse_element(alphabet, args.by)
-    eps = 1 if args.op == "right" else -1
-    result = cq.act(a, q, eps)
-    print(_machine_record("element", value=result) if args.format == "machine"
-          else str(result))
+    result = str(cq.act(a, q, 1 if args.op == "right" else -1))
+    yield "element", {"value": result}, result
     return 0
 
 
-def cmd_closure(args) -> int:
+def cmd_closure(args):
     _, gens = _read_problem(args.file)
     c = sq.closure(gens, args.max_tail_len)
-    if args.format == "machine":
-        print(_machine_record("closure", bound=c.bound, size=len(c)))
-        for e in c.elements:
-            print(_machine_record("element", value=e))
-    else:
-        print(f"closure size {len(c)} at bound L = {c.bound}")
-        for e in c.elements:
-            print(f"  {e}")
+    yield ("closure", {"bound": c.bound, "size": len(c)},
+           f"closure size {len(c)} at bound L = {c.bound}")
+    for e in map(str, c.elements):
+        yield "element", {"value": e}, f"  {e}"
     return 0
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args):
     if args.check_stability and args.method != "paper":
         raise ValueError("--check-stability applies to --method paper only")
     _, gens = _read_problem(args.file)
@@ -128,15 +117,12 @@ def cmd_basis(args) -> int:
         report = basis_mod.compute_S(c, check_stability=args.check_stability)
     else:
         report = basis_mod.greedy_shrink(c)
-    print("\n".join(_emit_basis_report(report, args.format == "machine")))
+    yield from _basis_records(report)
     return 0 if report.certified else 1
 
 
-def cmd_check_independence(args) -> int:
-    _, items = _read_independence_input(args.file)
-    out: list[str] = []
-    ok = True
-    machine = args.format == "machine"
+def cmd_check_independence(args):
+    items = _read_independence_input(args.file)
     raw = next((text for text, elem, _ in items if elem is None), None)
     if raw is not None and args.method == "hall":
         print(f"error: {raw!r} is not a free-quandle element; "
@@ -145,16 +131,13 @@ def cmd_check_independence(args) -> int:
     if raw is not None and args.method == "both":
         print(f"note: {raw!r} is not a free-quandle element; "
               "hall skipped, nielsen only", file=sys.stderr)
+    verdicts = []
     if raw is None and args.method in ("hall", "both"):
-        verdict = ind.check_significant_factors([elem for _, elem, _ in items])
-        _emit_verdict(out, verdict, machine)
-        ok = verdict.passed
+        verdicts.append(ind.check_significant_factors([elem for _, elem, _ in items]))
     if args.method in ("nielsen", "both"):
-        verdict = ind.nielsen_independent([word for _, _, word in items])
-        _emit_verdict(out, verdict, machine)
-        ok = ok and verdict.passed
-    print("\n".join(out))
-    return 0 if ok else 1
+        verdicts.append(ind.nielsen_independent([word for _, _, word in items]))
+    yield from map(_verdict_record, verdicts)
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def _read_independence_input(path: str):
@@ -171,48 +154,40 @@ def _read_independence_input(path: str):
         items.append((ln, elem, word))
     if not items:
         raise ValueError("input file lists no elements or words")
-    return alphabet, items
+    return items
 
 
-def cmd_verify_axioms(args) -> int:
+def cmd_verify_axioms(args):
     alphabet = Alphabet.parse(args.alphabet)
     report = cq.verify_axioms(alphabet, args.samples, args.max_tail_len, args.seed)
-    if args.format == "machine":
-        print(_machine_record(
-            "axioms", failures=len(report.failures), samples=report.samples,
-            seed=report.seed, verdict="PASS" if report.passed else "FAIL"))
-        for f in report.failures:
-            print(_machine_record(
-                "counterexample",
-                elements=" , ".join(str(e) for e in f.elements), law=f.law))
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        print(f"axiom suite: {status} "
-              f"({report.samples} samples, seed {report.seed})")
-        for law, n in report.checked.items():
-            print(f"  {law}: {n} checks")
-        for f in report.failures:
-            elems = ", ".join(str(e) for e in f.elements)
-            print(f"  counterexample for {f.law}: {elems}")
+    status = "PASS" if report.passed else "FAIL"
+    yield ("axioms", {"failures": len(report.failures), "samples": report.samples,
+                      "seed": report.seed, "verdict": status},
+           f"axiom suite: {status} ({report.samples} samples, seed {report.seed})")
+    for law, n in report.checked.items():
+        yield None, None, f"  {law}: {n} checks"
+    for f in report.failures:
+        elems = [str(e) for e in f.elements]
+        yield ("counterexample", {"elements": " , ".join(elems), "law": f.law},
+               f"  counterexample for {f.law}: {', '.join(elems)}")
     return 0 if report.passed else 1
 
 
-def cmd_express(args) -> int:
+def cmd_express(args):
     alphabet, gens = _read_problem(args.file)
     e = cq.parse_element(alphabet, args.element)
-    # a prefix of the full closure with the same derivations, so the same term
-    c = sq.closure(gens, args.max_tail_len, stop_when_contains=[e])
+    # a prefix of the full closure with the same derivations, so the same
+    # term; a tail longer than L cannot be in it, so only check the generators
+    fits = len(e.tail) <= args.max_tail_len
+    c = sq.closure(gens, args.max_tail_len, stop_when_contains=[e] if fits else [])
     if not sq.contains(c, e):
         print(f"error: {e} not found in closure at bound {c.bound}",
               file=sys.stderr)
         return 1
-    term = sq.express(c, e)
-    if args.format == "machine":
-        print(_machine_record("expression", element=e, term=term))
-    else:
-        print(f"{e} = {term}")
-        for i, g in enumerate(c.generators):
-            print(f"  g{i} = {g}")
+    element, term = str(e), str(sq.express(c, e))
+    yield "expression", {"element": element, "term": term}, f"{element} = {term}"
+    for i, g in enumerate(c.generators):
+        yield None, None, f"  g{i} = {g}"
     return 0
 
 
@@ -287,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args.func(args), args.format)
     except (FreeQuandleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -177,6 +177,24 @@ class TestVerifyAxioms:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_counterexample_lines(self, capsys, monkeypatch):
+        a, b = cq.parse_element(XY, "x^(y)"), cq.parse_element(XY, "y")
+        law = "self_distributivity_right"
+        report = cq.AxiomReport(XY, 3, 5, {"idempotence_right": 3, law: 3},
+                                (cq.AxiomFailure(law, (a, b)),))
+        monkeypatch.setattr(cq, "verify_axioms", lambda *args: report)
+        argv = ["verify-axioms", "--alphabet", "x y"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not err
+        assert out == ("axiom suite: FAIL (3 samples, seed 5)\n"
+                       "  idempotence_right: 3 checks\n"
+                       f"  {law}: 3 checks\n"
+                       f"  counterexample for {law}: x^(y), y\n")
+        code, out, err = run(capsys, *argv, "--format", "machine")
+        assert code == 1 and not err
+        assert out == ("kind=axioms\tfailures=1\tsamples=3\tseed=5\tverdict=FAIL\n"
+                       f"kind=counterexample\telements=x^(y) , y\tlaw={law}\n")
+
 
 class TestExpress:
     def test_expressible(self, capsys, problem_file):
@@ -189,6 +207,31 @@ class TestExpress:
         code, _, err = run(capsys, "express", problem_file, "x^(y y y)",
                            "--max-tail-len", "2")
         assert code == 1 and "not found" in err
+
+    def test_tail_longer_than_bound_fails_at_once(self, capsys, monkeypatch,
+                                                   problem_file):
+        sizes = []
+
+        def recording_closure(*args, **kwargs):
+            c = closure(*args, **kwargs)
+            sizes.append(len(c))
+            return c
+
+        closure = sq.closure
+        monkeypatch.setattr(sq, "closure", recording_closure)
+        code, out, err = run(capsys, "express", problem_file,
+                             "x^(y y y y y y y y)", "--max-tail-len", "6")
+        assert code == 1 and not out
+        assert err == "error: x^(y y y y y y y y) not found in closure at bound 6\n"
+        assert sizes == [2]  # the generators only, no enumeration
+
+    def test_tail_longer_than_bound_still_checks_generators(self, capsys,
+                                                            tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("alphabet: x y\nx^(y y y)\n")
+        code, out, err = run(capsys, "express", str(path), "x^(y y y y y)",
+                             "--max-tail-len", "2")
+        assert code == 2 and not out and "bound 2" in err
 
     def test_term_matches_full_closure(self, capsys, problem_file):
         _, gens = sq.parse_problem(PROBLEM)
