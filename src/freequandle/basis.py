@@ -111,7 +111,8 @@ def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
     )
 
 
-def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
+def compute_S(c: ClosureSet, check_stability: bool = False,
+              max_elements: Optional[int] = None) -> BasisReport:
     """Candidate basis from the per-axis non-shrinkable tails.
 
     The candidate is certified a posteriori: generation witnesses for the
@@ -121,19 +122,22 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     act(e', q, -eps) for the shorter elements e' = act(e, q, eps) and q of
     c, so by induction on tail length the re-closure regenerates all of c
     within the bound.  The witness check stays as a guard.
+
+    ``max_elements`` is the element budget of the closures built here (at
+    L + 2 for the stability check, and the witness re-closure).
     """
     candidate = _tail_filter(c)
     stable = None
     if check_stability:
-        bigger = closure(list(c.generators), c.bound + 2)
+        bigger = closure(list(c.generators), c.bound + 2, max_elements)
         stable = set(_tail_filter(bigger)) == set(candidate)
     # stops once every generator is found: a prefix of the full closure
     # with the same derivations, or all of it if some generator is missing
-    sub = closure(candidate, c.bound, stop_when_contains=c.generators)
+    sub = closure(candidate, c.bound, max_elements, stop_when_contains=c.generators)
     return _report(c, candidate, METHOD_PAPER, sub, stable=stable)
 
 
-def greedy_shrink(c: ClosureSet) -> BasisReport:
+def greedy_shrink(c: ClosureSet, max_elements: Optional[int] = None) -> BasisReport:
     """Shrink the generators of c against their own bounded closure.
 
     The working set starts as c's (deduped) generators, with c as its
@@ -142,7 +146,8 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
     closure, eps -1 before +1), replacing the target, re-deduping and
     re-closing.  Total tail length strictly decreases, so the loop
     terminates.  The witnesses come from the last working closure, the
-    full bounded closure of the candidate.
+    full bounded closure of the candidate.  ``max_elements`` is the
+    element budget of each working closure.
     """
     working = list(c.generators)
     wc = c
@@ -157,6 +162,6 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
         moves.append(mv)
         working[ti] = mv.result
         working = list(dict.fromkeys(working))
-        wc = closure(working, c.bound)
+        wc = closure(working, c.bound, max_elements)
 
     return _report(c, tuple(working), METHOD_GREEDY, wc, moves=tuple(moves))

@@ -100,7 +100,7 @@ def cmd_qop(args):
 
 def cmd_closure(args):
     _, gens = _read_problem(args.file)
-    c = sq.closure(gens, args.max_tail_len)
+    c = sq.closure(gens, args.max_tail_len, args.max_elements)
     yield ("closure", {"bound": c.bound, "size": len(c)},
            f"closure size {len(c)} at bound L = {c.bound}")
     for e in map(str, c.elements):
@@ -112,11 +112,11 @@ def cmd_basis(args):
     if args.check_stability and args.method != "paper":
         raise ValueError("--check-stability applies to --method paper only")
     _, gens = _read_problem(args.file)
-    c = sq.closure(gens, args.max_tail_len)
+    c = sq.closure(gens, args.max_tail_len, args.max_elements)
     if args.method == "paper":
-        report = basis_mod.compute_S(c, check_stability=args.check_stability)
+        report = basis_mod.compute_S(c, args.check_stability, args.max_elements)
     else:
-        report = basis_mod.greedy_shrink(c)
+        report = basis_mod.greedy_shrink(c, args.max_elements)
     yield from _basis_records(report)
     return 0 if report.certified else 1
 
@@ -179,7 +179,8 @@ def cmd_express(args):
     # a prefix of the full closure with the same derivations, so the same
     # term; a tail longer than L cannot be in it, so only check the generators
     fits = len(e.tail) <= args.max_tail_len
-    c = sq.closure(gens, args.max_tail_len, stop_when_contains=[e] if fits else [])
+    c = sq.closure(gens, args.max_tail_len, args.max_elements,
+                   stop_when_contains=[e] if fits else [])
     if not sq.contains(c, e):
         print(f"error: {e} not found in closure at bound {c.bound}",
               file=sys.stderr)
@@ -205,6 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "element per line)")
             p.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
                            metavar="L")
+            p.add_argument("--max-elements", type=int, metavar="N",
+                           help="element budget of every closure the command "
+                                "builds; exceeding it is an input error "
+                                "(exit 2)")
 
     p = sub.add_parser("reduce", help="reduce a word to normal form")
     p.add_argument("--alphabet", required=True)

@@ -92,6 +92,48 @@ def _acting_words(e: RawElement):
     return (gw, 1), (fg.inverse(gw), -1)
 
 
+def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
+    """File element j under its tail read backwards from the last letter.
+
+    A node at depth d holds ``[children, by_len]``: ``by_len[k]`` lists, in
+    index order, the elements below it whose tail has length d + k.
+    """
+    node = root
+    for k in range(len(tail), -1, -1):  # letters of tail still to read
+        by_len = node[1]
+        while len(by_len) <= k:
+            by_len.append([])
+        by_len[k].append(j)
+        if k:
+            children = node[0]
+            node = children.get(tail[k - 1])
+            if node is None:
+                node = children[tail[k - 1]] = [{}, []]
+
+
+def _candidates(root, tail: tuple[int, ...], bound: int) -> list[int]:
+    """Indices of the trie's elements that may act on ``tail`` within
+    ``bound``, unordered; see :func:`_new_elements`."""
+    reach = (bound - len(tail) - 1) // 2  # most letters of t past the shared suffix
+    out: list[int] = []
+    node = root
+    for key in reversed(tail):
+        children, by_len = node
+        if by_len:
+            out += by_len[0]  # t is a suffix of tail
+        if reach > 0:
+            for lt, child in children.items():
+                if lt != key:
+                    for group in child[1][:reach]:
+                        out += group
+        node = children.get(key)
+        if node is None:
+            return out
+    for group in node[1]:  # tail is a suffix of t
+        out += group
+    return out
+
+
 def _new_elements(elements: list[RawElement], bound: int):
     """Semi-naive fixed point of act(a, q, ±1) over ``elements``, in place.
 
@@ -99,16 +141,39 @@ def _new_elements(elements: list[RawElement], bound: int):
     derivation ``(i, j, eps)``: elements[i] acted on by elements[j].  Each
     round tries the pairs with at least one element new since the last
     round, i in insertion order, then j, then eps +1 before -1.
+
+    Only the pairs that can land within the bound are tried.  The acting
+    word of ``q = a^t`` is ``t^-1 a^±1 t``, so ``tail · gw`` cancels
+    exactly the common suffix of ``tail`` and ``t`` (of length s), and
+    cancels further only when ``t`` is a whole suffix of ``tail``.  In any
+    other case where ``tail`` keeps a letter, the product is reduced, has
+    nothing to strip at its front and has ``|tail| + 2(|t| - s) + 1``
+    letters.  So a trie of the elements keyed on their reversed tails,
+    walked along ``tail`` reversed, returns every element whose tail is a
+    suffix of ``tail``, has ``tail`` as a suffix (the axis strip may
+    shorten those products), or leaves the shared suffix by at most
+    ``(bound - |tail| - 1) // 2`` letters.  That is a superset of the
+    within-bound pairs.  Sorted by j and put through the same exact test
+    as an exhaustive loop, it finds the same elements, with the same
+    derivations, in the same order.  The trie is extended only between
+    rounds.
     """
     seen = set(elements)
     acting = [_acting_words(e) for e in elements]
+    trie = [{}, []]  # of elements[:done]
     done = 0  # pairs among elements[:done] are already tried
     while done < len(elements):
         prev, done = done, len(elements)
+        for j in range(prev, done):
+            _trie_insert(trie, elements[j][1], j)
         for i in range(done):
             axis, tail = elements[i]
             la = len(tail)
-            for j in range(prev if i < prev else 0, done):
+            candidates = _candidates(trie, tail, bound)
+            if i < prev:
+                candidates = [j for j in candidates if j >= prev]
+            candidates.sort()
+            for j in candidates:
                 for gw, eps in acting[j]:
                     lg = len(gw)
                     # cancellation depth of tail · gw, before materializing
@@ -135,10 +200,11 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     element second, eps +1 before -1), so identical inputs give identical
     closures.
 
-    ``max_elements`` raises :class:`ClosureTooLarge` once exceeded (a desk
-    budget guard).  ``stop_when_contains`` stops enumeration as soon as all
-    listed elements are present; the result is then a prefix of the full
-    closure whose derivations are still valid.
+    ``max_elements`` raises :class:`ClosureTooLarge`, naming the budget,
+    the bound and the size reached, once the closure grows past it.
+    ``stop_when_contains`` stops enumeration as soon as all listed elements
+    are present; the result is then a prefix of the full closure whose
+    derivations are still valid.
     """
     gens = list(dict.fromkeys(gens))
     if not gens:
@@ -154,8 +220,14 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
 
     elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
     derivations: list[tuple[int, int, int]] = []  # of elements[len(gens):]
-    if max_elements is not None and len(elements) > max_elements:
-        raise ClosureTooLarge(f"closure exceeded {max_elements} elements")
+
+    def check_budget():
+        if max_elements is not None and len(elements) > max_elements:
+            raise ClosureTooLarge(
+                f"closure at bound L = {bound} reached {len(elements)} "
+                f"elements, over the element budget of {max_elements}")
+
+    check_budget()
     missing = None
     if stop_when_contains is not None:
         missing = {(e.axis, e.tail.letters) for e in stop_when_contains}
@@ -163,8 +235,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     if missing != set():
         for d in _new_elements(elements, bound):
             derivations.append(d)
-            if max_elements is not None and len(elements) > max_elements:
-                raise ClosureTooLarge(f"closure exceeded {max_elements} elements")
+            check_budget()
             if missing is not None:
                 missing.discard(elements[-1])
                 if not missing:

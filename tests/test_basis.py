@@ -4,6 +4,7 @@ from freequandle import basis as bs
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle import subquandle as sq
+from freequandle.errors import ClosureTooLarge
 from freequandle.free_group import Alphabet
 
 XY = Alphabet(("x", "y"))
@@ -115,6 +116,14 @@ class TestComputeS:
         report = bs.compute_S(small_closure, check_stability=True)
         assert report.stable is True
 
+    def test_budget_applies_to_witness_closure(self, small_closure):
+        report = bs.compute_S(small_closure)
+        size = len(sq.closure(report.candidate, small_closure.bound,
+                              stop_when_contains=small_closure.generators))
+        assert bs.compute_S(small_closure, max_elements=size) == report
+        with pytest.raises(ClosureTooLarge):
+            bs.compute_S(small_closure, max_elements=size - 1)
+
 
 class TestGreedyShrink:
     def test_single_generator(self):
@@ -131,6 +140,14 @@ class TestGreedyShrink:
         assert (mv.target, mv.by, mv.eps, mv.result) == \
             (el("x^(y)"), el("y"), -1, el("x"))
         assert report.certified
+
+    def test_budget_applies_to_working_closures(self, small_closure):
+        # small_closure itself was built without a budget
+        report = bs.greedy_shrink(small_closure)
+        size = len(sq.closure(report.candidate, small_closure.bound))
+        assert bs.greedy_shrink(small_closure, max_elements=size) == report
+        with pytest.raises(ClosureTooLarge):
+            bs.greedy_shrink(small_closure, max_elements=size - 1)
 
     def test_rigid_set(self, rigid_closure):
         report = bs.greedy_shrink(rigid_closure)

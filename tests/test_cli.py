@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from freequandle import basis as basis_mod
 from freequandle import cli
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
@@ -73,6 +74,38 @@ class TestClosure:
         lines = out.splitlines()
         assert lines[0] == "kind=closure\tbound=2\tsize=18"
         assert "kind=element\tvalue=x^(y)" in lines
+
+
+class TestElementBudget:
+    @pytest.mark.parametrize("argv, tripped_bound", [
+        (["closure", "--max-tail-len", "4"], 4),
+        # the L+2 closure is the largest, so it trips first
+        (["basis", "--check-stability", "--max-tail-len", "4"], 6),
+        (["basis", "--method", "greedy", "--max-tail-len", "4"], 4),
+        (["express", "y^(x y x y)", "--max-tail-len", "4"], 4),
+    ])
+    def test_budget_edges(self, capsys, monkeypatch, problem_file, argv,
+                          tripped_bound):
+        sizes = []
+        real = sq.closure
+
+        def recording(*args, **kwargs):
+            c = real(*args, **kwargs)
+            sizes.append(len(c))
+            return c
+
+        with monkeypatch.context() as m:
+            m.setattr(sq, "closure", recording)
+            m.setattr(basis_mod, "closure", recording)
+            unbudgeted = run(capsys, *argv[:1], problem_file, *argv[1:])
+        full = max(sizes)  # the largest closure the command builds
+        assert run(capsys, *argv[:1], problem_file, *argv[1:],
+                   "--max-elements", str(full)) == unbudgeted
+        code, out, err = run(capsys, *argv[:1], problem_file, *argv[1:],
+                             "--max-elements", str(full - 1))
+        assert (code, out) == (2, "")
+        assert err == (f"error: closure at bound L = {tripped_bound} reached "
+                       f"{full} elements, over the element budget of {full - 1}\n")
 
 
 class TestBasis:

@@ -13,6 +13,9 @@ from freequandle import subquandle as sq
 
 OUTPUT_DIGEST = "8dbba9c68ab456de11907b46be4da077a52e993ef176a37f3f869ea6dbc727a6"
 TEXT_OUTPUT_DIGEST = "8e96756ec0c850c15bd6fbb8e589b81cf6c34d6147c5689c5d1003d64c56754a"
+# `closure --format machine` of the README example {x^(y), y} at L=8
+# (13,122 elements), as the exhaustive pair loop printed it
+README_CLOSURE_DIGEST = "4f7724de6cbebbb3587a9268ac4856283ff194bdb5335a6805b448f86a97e68c"
 
 
 def _corpus_commands(tmp_path, corpus):
@@ -48,3 +51,12 @@ def test_text_output_digest(capsys, tmp_path, corpus):
             captured = capsys.readouterr()
             digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
     assert digest.hexdigest() == TEXT_OUTPUT_DIGEST
+
+
+def test_readme_closure_digest(capsys, tmp_path):
+    path = tmp_path / "problem.txt"
+    path.write_text("alphabet: x y\nx^(y)\ny\n")
+    code = cli.main(["closure", str(path), "--max-tail-len", "8", "--format", "machine"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_CLOSURE_DIGEST

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
@@ -13,6 +16,7 @@ from freequandle.errors import (
 from freequandle.free_group import Alphabet
 
 XY = Alphabet(("x", "y"))
+XYZ = Alphabet(("x", "y", "z"))
 
 
 def el(text):
@@ -99,6 +103,99 @@ class TestClosure:
             partial = sq.closure(els("x^(y)", "y"), 2, stop_when_contains=targets)
             assert partial.elements == full.elements
             assert partial.derivations == full.derivations
+
+
+def _acting_words(e):
+    gw = fg.conjugate_word(*e)
+    return (gw, 1), (fg.inverse(gw), -1)
+
+
+def _all_pairs_new_elements(elements, bound):
+    """Reference: the exhaustive pair loop the indexed one replaced, verbatim."""
+    seen = set(elements)
+    acting = [_acting_words(e) for e in elements]
+    done = 0  # pairs among elements[:done] are already tried
+    while done < len(elements):
+        prev, done = done, len(elements)
+        for i in range(done):
+            axis, tail = elements[i]
+            la = len(tail)
+            for j in range(prev if i < prev else 0, done):
+                for gw, eps in acting[j]:
+                    lg = len(gw)
+                    # cancellation depth of tail · gw, before materializing
+                    c = 0
+                    while c < la and c < lg and tail[la - 1 - c] == -gw[c]:
+                        c += 1
+                    # a surviving first tail letter leaves nothing to strip
+                    if c < la and la + lg - 2 * c > bound:
+                        continue
+                    res = (axis, cq.canonical_tail(axis, tail[:la - c] + gw[c:]))
+                    if len(res[1]) > bound or res in seen:
+                        continue
+                    seen.add(res)
+                    elements.append(res)
+                    acting.append(_acting_words(res))
+                    yield i, j, eps
+
+
+# the exhaustive loop is quadratic, so both enumerations are compared on
+# their first PREFIX derivations: they run in the same order, so a prefix
+# is a complete check up to that size
+PREFIX = 150
+
+
+@st.composite
+def raw_generator_sets(draw):
+    """(raw elements, bound): tails of up to four letters on one to three
+    axes, each with a random suffix of it, each put on one or more axes."""
+    n = draw(st.integers(1, 3))
+    bound = draw(st.integers(0, 9))
+    letters = st.sampled_from([s * (g + 1) for g in range(n) for s in (1, -1)])
+    tails = []
+    for raw in draw(st.lists(st.lists(letters, max_size=min(4, bound)),
+                             min_size=1, max_size=3)):
+        tail = fg.reduced_product((), raw)
+        tails += [tail, tail[draw(st.integers(0, len(tail))):]]
+    elements = []
+    for tail in tails:
+        for axis in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=n, unique=True)):
+            elements.append((axis, cq.canonical_tail(axis, tail)))
+    return list(dict.fromkeys(elements)), bound
+
+
+class TestIndexedLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_generator_sets())
+    @example(([(0, (2,)), (1, ())], 6))                    # {x^(y), y}: an empty tail
+    @example(([(0, ())], 9))                               # one-letter alphabet
+    @example(([(0, (2, 3)), (1, (3,)), (0, (1, -2, 3))], 7))  # tails ending in one another
+    @example(([(0, (3,)), (1, (3,)), (2, (1,))], 5))       # one tail on two axes
+    @example(([(0, (2,)), (1, ())], 0))
+    def test_same_elements_and_derivations(self, case):
+        gens, bound = case
+        ref, new = list(gens), list(gens)
+        want = list(itertools.islice(_all_pairs_new_elements(ref, bound), PREFIX))
+        got = list(itertools.islice(sq._new_elements(new, bound), PREFIX))
+        assert got == want
+        assert new == ref
+
+
+class TestBaselineSizes:
+    # the baseline problems of the ROADMAP, at each bound it lists
+    @pytest.mark.parametrize("gens, bound, size", [
+        (("x^(y)", "y"), 4, 162),
+        (("x^(y)", "y"), 6, 1_458),
+        (("x^(y)", "y"), 8, 13_122),
+        (("x^(y z)", "y^(z)", "z^(x)"), 6, 591),
+        (("x^(y)", "y^(z x)", "z"), 8, 439),
+        (("x^(y)", "y^(z x)", "z"), 9, 923),
+        (("x^(y)", "y^(z x)", "z"), 10, 1_951),
+    ])
+    def test_closure_size(self, gens, bound, size):
+        c = sq.closure([cq.parse_element(XYZ, g) for g in gens], bound)
+        assert len(c) == size
 
 
 class TestContains:
