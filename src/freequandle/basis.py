@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import free_group as fg
 from .conj_quandle import QuandleElement, act
 from .independence import (
     IndependenceReport,
@@ -58,37 +57,40 @@ class BasisReport:
                 and not self.missing_witnesses)
 
 
-def _shrinks(tail: tuple[int, ...], q: QuandleElement, eps: int) -> bool:
-    """Whether right-multiplying the group word of q^eps shortens the tail.
-
-    Equivalent to |tail · gw(q)^eps| < |tail|: by parity the product can
-    shorten only when the half u^-1 y^eps of gw(q)^eps = u^-1 y^eps u
-    cancels completely, i.e. the tail ends with y^-eps u.
-    """
-    u = q.tail.letters
-    suffix = (fg.letter(q.axis, -eps),) + u
-    k = len(suffix)
-    return len(tail) >= k and tail[-k:] == suffix
-
-
 def is_shrinkable(w: Word, axis: int, c: ClosureSet) -> Optional[ShrinkMove]:
     """First closure element (and eps) that shortens w, if any.
 
-    Scan order: closure elements in insertion order, eps -1 before +1.
+    By parity the product w · gw(q)^eps can shorten only when the half
+    u^-1 y^eps of gw(q)^eps = u^-1 y^eps u cancels completely, i.e. w ends
+    with y^-eps u.  So the moves are the hits of w's suffixes in the closure's
+    suffix index, and the smallest ``(k, eps)`` among them is the first move
+    of a scan over the closure elements in insertion order, eps -1 before +1.
     Equal-length results cannot occur (odd group words flip tail parity).
     """
-    target = QuandleElement(axis, w)
-    for q in c.elements:
-        for eps in (-1, 1):
-            if _shrinks(w.letters, q, eps):
-                return ShrinkMove(target, q, eps, act(target, q, eps))
-    return None
+    index = c._shrinkers
+    hits = [index[s] for s in _suffixes(w.letters) if s in index]
+    if not hits:
+        return None
+    k, eps = min(hits)
+    target, q = QuandleElement(axis, w), c.elements[k]
+    return ShrinkMove(target, q, eps, act(target, q, eps))
+
+
+def _suffixes(letters: tuple[int, ...]):
+    """The nonempty suffixes of ``letters``, longest first."""
+    return (letters[s:] for s in range(len(letters)))
 
 
 def compute_T(axis: int, c: ClosureSet) -> list[Word]:
-    """Closure tails on the given axis that no closure element can shorten."""
-    return [e.tail for e in c.elements
-            if e.axis == axis and is_shrinkable(e.tail, axis, c) is None]
+    """Closure tails on the given axis that no closure element can shorten.
+
+    A tail is kept iff it ends with no ``y^-eps u`` for ``y^u`` in c: none
+    of its suffixes is in the closure's suffix index (see
+    :func:`is_shrinkable`), so no move is built.
+    """
+    index = c._shrinkers
+    return [e.tail for e in c.elements if e.axis == axis
+            and not any(s in index for s in _suffixes(e.tail.letters))]
 
 
 def _tail_filter(c: ClosureSet) -> tuple[QuandleElement, ...]:

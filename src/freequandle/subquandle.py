@@ -10,6 +10,7 @@ it can be expressed as a term over the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import conj_quandle as cq
@@ -68,7 +69,12 @@ Derivation = tuple[QuandleElement, QuandleElement, int]  # (a, q, eps)
 
 @dataclass(frozen=True)
 class ClosureSet:
-    """Deterministic bounded closure with one derivation per non-generator."""
+    """Deterministic bounded closure with one derivation per non-generator.
+
+    ``q^eps`` with ``q = y^u`` shortens a tail iff the tail ends with
+    ``y^-eps u``; :attr:`_shrinkers` indexes the closure by that suffix for
+    ``basis.is_shrinkable`` and ``basis.compute_T``.
+    """
 
     generators: tuple[QuandleElement, ...]
     bound: int
@@ -84,6 +90,21 @@ class ClosureSet:
 
     def __contains__(self, e: QuandleElement) -> bool:
         return e in self.derivations or e in self.generators
+
+    @cached_property
+    def _shrinkers(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """``(letter(y, -eps),) + u`` -> ``(k, eps)`` for ``elements[k] = y^u``.
+
+        Built on first use.  The suffix names q and eps, so each key has one
+        entry, and ``(k, eps)`` orders the entries as a scan of the elements
+        in insertion order, eps -1 before +1.
+        """
+        index = {}
+        for k, q in enumerate(self.elements):
+            u = q.tail.letters
+            for eps in (-1, 1):
+                index[(fg.letter(q.axis, -eps),) + u] = (k, eps)
+        return index
 
 
 def _acting_words(e: RawElement):
@@ -111,10 +132,18 @@ def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
                 node = children[tail[k - 1]] = [{}, []]
 
 
-def _candidates(root, tail: tuple[int, ...], bound: int) -> list[int]:
-    """Indices of the trie's elements that may act on ``tail`` within
-    ``bound``, unordered; see :func:`_new_elements`."""
-    reach = (bound - len(tail) - 1) // 2  # most letters of t past the shared suffix
+def _candidates(root, axis: int, tail: tuple[int, ...], bound: int) -> list[int]:
+    """Indices of the trie's elements that may act on ``axis^tail`` within
+    ``bound``, unordered; see :func:`_new_elements`.
+
+    Below the node of ``tail`` it walks the runs ``x^k tail`` and
+    ``x^-k tail`` of the axis letter x while ``|tail| + k + 1 <= bound``.
+    At run depth k it takes ``t = x^k tail`` itself, and from each child off
+    the run the tails ``t = q x^k tail`` with
+    ``|tail| + k + 2|q| + 1 <= bound``, the exact length of the product.
+    """
+    la = len(tail)
+    reach = (bound - la - 1) // 2  # most letters of t past the shared suffix
     out: list[int] = []
     node = root
     for key in reversed(tail):
@@ -129,8 +158,24 @@ def _candidates(root, tail: tuple[int, ...], bound: int) -> list[int]:
         node = children.get(key)
         if node is None:
             return out
-    for group in node[1]:  # tail is a suffix of t
-        out += group
+    # tail is a suffix of t = q x^k tail; walk the runs x^k, x^-k
+    x = axis + 1
+    run = [node]  # the nodes of x^k tail, one per sign once k > 0
+    for k in range(bound - la):  # |tail| + k + 1 <= bound
+        reach = (bound - la - k - 1) // 2  # most letters of q
+        below = []
+        for children, by_len in run:
+            if by_len:
+                out += by_len[0]  # q is empty
+            for lt, child in children.items():
+                if lt == x or lt == -x:
+                    below.append(child)
+                elif reach > 0:
+                    for group in child[1][:reach]:
+                        out += group
+        if not below:
+            break
+        run = below
     return out
 
 
@@ -142,21 +187,28 @@ def _new_elements(elements: list[RawElement], bound: int):
     round tries the pairs with at least one element new since the last
     round, i in insertion order, then j, then eps +1 before -1.
 
-    Only the pairs that can land within the bound are tried.  The acting
-    word of ``q = a^t`` is ``t^-1 a^±1 t``, so ``tail · gw`` cancels
-    exactly the common suffix of ``tail`` and ``t`` (of length s), and
-    cancels further only when ``t`` is a whole suffix of ``tail``.  In any
-    other case where ``tail`` keeps a letter, the product is reduced, has
-    nothing to strip at its front and has ``|tail| + 2(|t| - s) + 1``
-    letters.  So a trie of the elements keyed on their reversed tails,
-    walked along ``tail`` reversed, returns every element whose tail is a
-    suffix of ``tail``, has ``tail`` as a suffix (the axis strip may
-    shorten those products), or leaves the shared suffix by at most
-    ``(bound - |tail| - 1) // 2`` letters.  That is a superset of the
-    within-bound pairs.  Sorted by j and put through the same exact test
-    as an exhaustive loop, it finds the same elements, with the same
-    derivations, in the same order.  The trie is extended only between
-    rounds.
+    Only the pairs that can land within the bound are tried.  Let
+    ``elements[i] = x^tail`` and ``elements[j] = a^t``, whose acting word
+    is ``t^-1 a^±1 t``.  Then ``tail · gw`` cancels exactly the common suffix
+    of ``tail`` and ``t`` (of length s), and cancels further only when
+    ``t`` is a whole suffix of ``tail``.  In any other case where ``tail``
+    keeps a letter, the product is reduced, has nothing to strip at its
+    front and has ``|tail| + 2(|t| - s) + 1`` letters.  When ``tail`` is a
+    suffix of ``t``, write ``t = q x^k tail`` with ``x^k`` (k >= 0, one
+    sign) the longest run of axis letters next to ``tail``: the product is
+    the reduced ``x^-k q^-1 a^±1 q x^k tail``, the axis strip removes
+    exactly ``x^-k``, and ``|tail| + k + 2|q| + 1`` letters are left (or,
+    if ``q`` is empty and ``a = x``, just ``elements[i]``).  So a trie of
+    the elements keyed on their reversed tails, walked along ``tail``
+    reversed and then down both runs of axis letters, returns every
+    element whose tail is a suffix of ``tail``, leaves the shared suffix
+    by at most ``(bound - |tail| - 1) // 2`` letters, or has a tail
+    ``q x^k tail`` with ``|tail| + k + 2|q| + 1 <= bound``.  That is a
+    superset of the within-bound pairs, and every product that passes the
+    depth test below lands within the bound.  Sorted by j and put through
+    the same exact test as an exhaustive loop, it finds the same elements,
+    with the same derivations, in the same order.  The trie is built per
+    call and extended only between rounds.
     """
     seen = set(elements)
     acting = [_acting_words(e) for e in elements]
@@ -169,7 +221,7 @@ def _new_elements(elements: list[RawElement], bound: int):
         for i in range(done):
             axis, tail = elements[i]
             la = len(tail)
-            candidates = _candidates(trie, tail, bound)
+            candidates = _candidates(trie, axis, tail, bound)
             if i < prev:
                 candidates = [j for j in candidates if j >= prev]
             candidates.sort()

@@ -15,6 +15,20 @@ CORPUS_CAP = 250      # element budget for screening a closure as desk-scale
 SCREEN_BOUND = 10     # screened at the largest bound any test will use
 
 
+# the baseline rows of the ROADMAP: (generators on x y z, bound); the first
+# three are the README example {x^(y), y}
+BASELINE_ROWS = (
+    (("x^(y)", "y"), 4),
+    (("x^(y)", "y"), 6),
+    (("x^(y)", "y"), 8),
+    (("x^(y z)", "y^(z)", "z^(x)"), 6),
+    (("x^(y z)", "y^(z)", "z^(x)"), 8),
+    (("x^(y)", "y^(z x)", "z"), 8),
+    (("x^(y)", "y^(z x)", "z"), 10),
+    (("x^(y)", "y^(z x)", "z"), 12),
+)
+
+
 def make_corpus(master_seed=CORPUS_SEED, count=CORPUS_SIZE):
     """Seeded random generating sets, screened to desk scale.
 
@@ -46,6 +60,13 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_closures(corpus):
     return [(gens, sq.closure(gens, 8)) for _, _, gens in corpus]
+
+
+@pytest.fixture(scope="session")
+def baseline_closures():
+    xyz = Alphabet(NAMES)
+    return [sq.closure([cq.parse_element(xyz, g) for g in gens], bound)
+            for gens, bound in BASELINE_ROWS]
 
 
 @pytest.fixture(scope="session")

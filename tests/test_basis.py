@@ -74,6 +74,51 @@ class TestIsShrinkable:
                     assert (move.by, move.eps) == expected
 
 
+def _ref_shrinks(tail, q, eps):
+    """Reference: the closure scan the suffix index replaced, verbatim."""
+    u = q.tail.letters
+    suffix = (fg.letter(q.axis, -eps),) + u
+    k = len(suffix)
+    return len(tail) >= k and tail[-k:] == suffix
+
+
+def _ref_is_shrinkable(w, axis, c):
+    target = cq.QuandleElement(axis, w)
+    for q in c.elements:
+        for eps in (-1, 1):
+            if _ref_shrinks(w.letters, q, eps):
+                return bs.ShrinkMove(target, q, eps, cq.act(target, q, eps))
+    return None
+
+
+class TestSuffixIndex:
+    @pytest.fixture(scope="class")
+    def closures(self, corpus, corpus_closures, baseline_closures):
+        # the corpus at L = 6, 8 and 10, then the ROADMAP baseline rows
+        return ([sq.closure(gens, bound) for bound in (6, 10) for _, _, gens in corpus]
+                + [c for _, c in corpus_closures] + baseline_closures)
+
+    def test_same_moves_as_scan(self, closures):
+        for c in closures:
+            for e in c.elements:
+                assert bs.is_shrinkable(e.tail, e.axis, c) == \
+                    _ref_is_shrinkable(e.tail, e.axis, c)
+
+    def test_same_tails_as_scan(self, closures):
+        for c in closures:
+            for axis in range(len(c.alphabet)):
+                assert bs.compute_T(axis, c) == [
+                    e.tail for e in c.elements
+                    if e.axis == axis and _ref_is_shrinkable(e.tail, axis, c) is None]
+
+    def test_tail_filter_builds_no_moves(self, monkeypatch, closures):
+        calls = []
+        monkeypatch.setattr(bs, "act", lambda *args: calls.append(args))
+        for c in closures:
+            bs._tail_filter(c)
+        assert calls == []
+
+
 class TestComputeT:
     def test_single_generator(self):
         c = sq.closure(els("x"), 4)

@@ -15,6 +15,8 @@ from freequandle.errors import (
 )
 from freequandle.free_group import Alphabet
 
+from conftest import BASELINE_ROWS
+
 XY = Alphabet(("x", "y"))
 XYZ = Alphabet(("x", "y", "z"))
 
@@ -173,6 +175,9 @@ class TestIndexedLoop:
     @example(([(0, (2, 3)), (1, (3,)), (0, (1, -2, 3))], 7))  # tails ending in one another
     @example(([(0, (3,)), (1, (3,)), (2, (1,))], 5))       # one tail on two axes
     @example(([(0, (2,)), (1, ())], 0))
+    # y^(z x x) acting on x costs exactly 5 letters: an x-run next to an empty tail
+    @example(([(0, ()), (1, (3, 1, 1)), (2, (1,))], 4))
+    @example(([(0, ()), (1, (3, 1, 1)), (2, (1,))], 5))
     def test_same_elements_and_derivations(self, case):
         gens, bound = case
         ref, new = list(gens), list(gens)
@@ -180,6 +185,55 @@ class TestIndexedLoop:
         got = list(itertools.islice(sq._new_elements(new, bound), PREFIX))
         assert got == want
         assert new == ref
+
+
+class TestCandidates:
+    def test_no_product_longer_than_bound(self, monkeypatch, corpus):
+        # every product the closure materializes lands within the bound:
+        # _candidates bounds the walk below tail by the product's exact length
+        products = []
+        canonical_tail = cq.canonical_tail
+
+        def spy(axis, letters):
+            tail = canonical_tail(axis, letters)
+            products.append(len(tail))
+            return tail
+
+        monkeypatch.setattr(cq, "canonical_tail", spy)
+        cases = [([cq.parse_element(XYZ, g) for g in gens], bound)
+                 for gens, bound in BASELINE_ROWS]
+        cases += [(gens, bound) for bound in (4, 6, 8, 10) for _, _, gens in corpus]
+        calls = 0
+        for gens, bound in cases:
+            products.clear()
+            sq.closure(gens, bound)
+            assert max(products, default=0) <= bound
+            calls += len(products)
+        assert calls > 0  # the spy saw the closure's products
+
+    def test_superset_of_pairs_within_bound(self, corpus_closures):
+        # on whole closures, every (i, j) with a product within the bound
+        # other than elements[i] itself is among i's candidates
+        closures = [c for _, c in corpus_closures]
+        closures += [sq.closure([cq.parse_element(XYZ, g) for g in gens], bound)
+                     for gens, bound in ((("x^(y)", "y"), 4),
+                                         (("x^(y)", "y^(z x)", "z"), 8))]
+        for c in closures:
+            elements = [(e.axis, e.tail.letters) for e in c.elements]
+            bound = c.bound
+            trie = [{}, []]
+            for j, (_, tail) in enumerate(elements):
+                sq._trie_insert(trie, tail, j)
+            words = [(gw, fg.inverse(gw)) for gw in
+                     (fg.conjugate_word(*e) for e in elements)]
+            for axis, tail in elements:
+                candidates = set(sq._candidates(trie, axis, tail, bound))
+                for j, pair in enumerate(words):
+                    if j in candidates:
+                        continue
+                    for gw in pair:
+                        res = cq.canonical_tail(axis, fg.reduced_product(tail, gw))
+                        assert len(res) > bound or res == tail
 
 
 class TestBaselineSizes:
