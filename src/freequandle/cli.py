@@ -141,7 +141,8 @@ def cmd_check_independence(args):
 
 
 def _read_independence_input(path: str):
-    """Each line is an element (element grammar) or a raw group word."""
+    """Each line is an element (element grammar) or a raw group word; a
+    line holding ``^(`` is an element."""
     with open(path, encoding="utf-8") as fh:
         alphabet, lines = sq.parse_header(fh.read())
     items = []
@@ -150,6 +151,8 @@ def _read_independence_input(path: str):
             elem = cq.parse_element(alphabet, ln)
             word = cq.to_group_word(elem)
         except NotInFreeQuandle:
+            if "^(" in ln:  # the element grammar: a malformed element
+                raise
             elem, word = None, fg.parse_word(alphabet, ln)
         items.append((ln, elem, word))
     if not items:

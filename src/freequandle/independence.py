@@ -1,11 +1,21 @@
 """Two independent checkers for independence of group words.
 
 The significant-factor checker marks the central letter of each conjugate
-and fails a product u·v (u != v^-1, found through v's partner entry v^-1)
-that cancels to a depth > min(|t_u|, |t_v|), i.e. reaches a marked letter;
-a set that passes is a basis of the subgroup it generates.  The exact
-checker passes iff the rank ``E - V + 1`` of the words' folded Stallings
-graph equals the number of distinct words.
+and fails a product u·v (u != v^-1) over the set and its inverses that
+cancels to a depth > min(|t_u|, |t_v|), i.e. reaches a marked letter; a set
+that passes is a basis of the subgroup it generates.  The exact checker
+passes iff the rank ``E - V + 1`` of the words' folded Stallings graph
+equals the number of distinct words.
+
+The suffix characterization: u = t_u^-1 x_u^σ t_u ends in t_u and v starts
+with t_v^-1, so u·v cancels past min(|t_u|, |t_v|) exactly when one tail is
+a proper suffix of the other and the next letter of the longer tail is the
+shorter entry's signed axis letter σ·x (u shorter) or its negation (v
+shorter).  Equal tails never fail: the product then cancels past the
+centre only when u = v^-1.  So if any product fails, with a next letter
+±x of the shorter element's axis x, then a product of two elements of the
+set fails as well: shorter · longer when the letter is x, longer · shorter
+when it is x^-1.
 
 A significant-factor FAIL means "criterion inapplicable with central
 factors", not "dependent"; the exact verdict decides independence.
@@ -16,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import free_group as fg
 from .conj_quandle import to_group_word
 from .errors import EmptyInputWord
 from .free_group import cancellation_depth
@@ -36,40 +45,57 @@ def check_significant_factors(elements) -> IndependenceReport:
 
     The marked letter of x^t, and of its inverse, is the central x, with
     |t| letters on each side.  Every ordered product u·v over the set and
-    its inverses must leave both marked letters uncancelled: it fails iff
-    its cancellation depth exceeds min(|t_u|, |t_v|), so stopping exactly
-    at a marked letter passes.  The excluded pairs u = v^-1 are found by
-    comparing u with v's partner entry, the word of v^-1.
+    its inverses, u != v^-1, must leave both marked letters uncancelled: it
+    fails iff its cancellation depth exceeds min(|t_u|, |t_v|), so stopping
+    exactly at a marked letter passes.
+
+    The documented scan order takes the products of two elements of the
+    set, (a, b) row by row, before every product with an inverse; the
+    report names the first failing product in it.  By the suffix
+    characterization (module docstring) that is always a product of two
+    elements, the least failing (a, b), read off a trie of reversed tails
+    with one walk per tail: linear in total letters, with no pair list.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one element")
+    failing = min(_failing_pairs(elements), default=None)
+    if failing is None:
+        return IndependenceReport("hall", True, detail="all pairwise products pass")
 
-    # (label, letters, |t|); entry k + n is the inverse of entry k
-    n = len(elements)
-    signed = [(str(e), fg.conjugate_word(e.axis, e.tail.letters), len(e.tail))
-              for e in elements]
-    signed += [(f"({label})^-1", fg.inverse(w), half) for label, w, half in signed]
+    u, v = (elements[i] for i in failing)
+    c = cancellation_depth(to_group_word(u).letters, to_group_word(v).letters)
+    return IndependenceReport(
+        "hall", False,
+        detail=f"cancellation in {u} · {v} reaches a significant factor (depth {c})",
+        failing_pair=(str(u), str(v)),
+        cancellation_depth=c,
+    )
 
-    # scan the positive-positive pairs first so failures are reported on
-    # elements of the set itself whenever possible
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    pairs += [(a, b) for a in range(2 * n) for b in range(2 * n) if a >= n or b >= n]
-    for a, b in pairs:
-        label_u, u, half_u = signed[a]
-        label_v, v, half_v = signed[b]
-        if u == signed[(b + n) % (2 * n)][1]:
-            continue  # the excluded pairs u = v^-1
-        c = cancellation_depth(u, v)
-        if c > min(half_u, half_v):
-            return IndependenceReport(
-                "hall", False,
-                detail=(f"cancellation in {label_u} · {label_v} reaches a "
-                        f"significant factor (depth {c})"),
-                failing_pair=(label_u, label_v),
-                cancellation_depth=c,
-            )
-    return IndependenceReport("hall", True, detail="all pairwise products pass")
+
+def _failing_pairs(elements):
+    """Failing products elements[a] · elements[b] as index pairs (a, b).
+
+    Each element's walk meets the shorter tails that are suffixes of its
+    own.  A hit yields one pair, with the least element filed there, so the
+    least failing pair of all is among those yielded.
+    """
+    # a node is (children by next tail letter, least element index by axis
+    # letter of the elements whose reversed tail ends at it)
+    root: tuple[dict, dict] = ({}, {})
+    for k, e in enumerate(elements):
+        node = root
+        for lt in reversed(e.tail.letters):
+            node = node[0].setdefault(lt, ({}, {}))
+        node[1].setdefault(e.axis + 1, k)
+    for k, e in enumerate(elements):
+        node = root
+        for lt in reversed(e.tail.letters):
+            children, shorter = node
+            j = shorter.get(abs(lt))
+            if j is not None:
+                yield (j, k) if lt > 0 else (k, j)
+            node = children[lt]
 
 
 def _folded_rank(words) -> int:

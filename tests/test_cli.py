@@ -196,6 +196,15 @@ class TestCheckIndependence:
                            "--method", "hall")
         assert code == 2 and "element" in err
 
+    @pytest.mark.parametrize("command", ["check-independence", "basis"])
+    def test_malformed_element_line(self, capsys, tmp_path, command):
+        # a line with "^(" is in the element grammar, not a raw word
+        path = tmp_path / "elems.txt"
+        path.write_text("alphabet: x y\ny\nx^(y\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == "error: malformed element 'x^(y'\n"
+
 
 class TestVerifyAxioms:
     def test_pass(self, capsys):

@@ -1,8 +1,9 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from freequandle import basis
 from freequandle import conj_quandle as cq
@@ -127,6 +128,65 @@ class TestSignificantFactorsPinned:
             elements += rng.choices(elements, k=rng.randint(0, 2))
             rng.shuffle(elements)
             self.check(elements)
+
+
+@st.composite
+def suffix_sets(draw):
+    """Element sets on 1-3 letters whose tails are suffixes of one reduced
+    word, some with one more letter of either sign in front, often on the
+    axis of the letter before the suffix (the letter that makes a product
+    cancel past a centre), some with one tail on two axes or duplicated."""
+    alphabet = Alphabet(("x", "y", "z")[:draw(st.integers(1, 3))])
+    axes = st.integers(0, len(alphabet) - 1)
+    letters = st.sampled_from([s * (i + 1) for i in range(len(alphabet))
+                               for s in (1, -1)])
+    base = fg.reduced_product((), draw(st.lists(letters, max_size=6)))
+    elements = []
+    for _ in range(draw(st.integers(1, 5))):
+        i = draw(st.integers(0, len(base)))
+        tail = base[i:]
+        front = draw(st.none() | letters)
+        if front is not None and not (tail and tail[0] == -front):
+            tail = (front,) + tail
+        critical = st.just(fg.letter_generator(base[i - 1])) if i else axes
+        for axis in draw(st.sets(critical | axes, min_size=1, max_size=2)):
+            elements.append(cq.QuandleElement(
+                axis, fg.Word(alphabet, cq.canonical_tail(axis, tail))))
+    elements += draw(st.lists(st.sampled_from(elements), max_size=2))
+    return draw(st.permutations(elements))
+
+
+class TestSignificantFactorsIndex:
+    """The reversed-tail index against the restated pair scan."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(suffix_sets())
+    def test_matches_pair_scan(self, elements):
+        report = ind.check_significant_factors(elements)
+        passed, pair, depth = restated_significant_factors(elements)
+        assert (report.passed, report.failing_pair,
+                report.cancellation_depth) == (passed, pair, depth)
+        assert report.detail == (
+            "all pairwise products pass" if passed else
+            f"cancellation in {pair[0]} · {pair[1]} reaches a significant "
+            f"factor (depth {depth})")
+
+    def test_wide_passing_set_is_small(self):
+        # x^(w) for the 972 reduced words w of length 6 in y^±1, z^±1: no
+        # tail is a proper suffix of another, so the set passes
+        xyz = Alphabet(("x", "y", "z"))
+        words = [w for w in itertools.product((2, -2, 3, -3), repeat=6)
+                 if all(a != -b for a, b in zip(w, w[1:]))]
+        elements = [cq.QuandleElement(0, fg.Word(xyz, w)) for w in words]
+        assert len(elements) == 972
+        tracemalloc.start()
+        try:
+            report = ind.check_significant_factors(elements)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 10 * 2**20
 
 
 class TestNielsen:
