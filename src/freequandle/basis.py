@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj_quandle import QuandleElement, act
+from .conj_quandle import QuandleElement, act, shrinkers
 from .independence import (
     IndependenceReport,
     check_significant_factors,
@@ -60,37 +60,25 @@ class BasisReport:
 def is_shrinkable(w: Word, axis: int, c: ClosureSet) -> Optional[ShrinkMove]:
     """First closure element (and eps) that shortens w, if any.
 
-    By parity the product w · gw(q)^eps can shorten only when the half
-    u^-1 y^eps of gw(q)^eps = u^-1 y^eps u cancels completely, i.e. w ends
-    with y^-eps u.  So the moves are the hits of w's suffixes in the closure's
-    suffix index, and the smallest ``(k, eps)`` among them is the first move
-    of a scan over the closure elements in insertion order, eps -1 before +1.
-    Equal-length results cannot occur (odd group words flip tail parity).
+    The first move of a scan over the closure elements in insertion order,
+    eps -1 before +1: the least hit of w in the closure's shrink index (see
+    :func:`conj_quandle.shrinkers`).  Equal-length results cannot occur (odd
+    group words flip tail parity).
     """
-    index = c._shrinkers
-    hits = [index[s] for s in _suffixes(w.letters) if s in index]
-    if not hits:
+    hit = min(shrinkers(c.shrink_index, w.letters), default=None)
+    if hit is None:
         return None
-    k, eps = min(hits)
+    k, eps = hit
     target, q = QuandleElement(axis, w), c.elements[k]
     return ShrinkMove(target, q, eps, act(target, q, eps))
 
 
-def _suffixes(letters: tuple[int, ...]):
-    """The nonempty suffixes of ``letters``, longest first."""
-    return (letters[s:] for s in range(len(letters)))
-
-
 def compute_T(axis: int, c: ClosureSet) -> list[Word]:
-    """Closure tails on the given axis that no closure element can shorten.
-
-    A tail is kept iff it ends with no ``y^-eps u`` for ``y^u`` in c: none
-    of its suffixes is in the closure's suffix index (see
-    :func:`is_shrinkable`), so no move is built.
-    """
-    index = c._shrinkers
+    """Closure tails on the given axis that no closure element can shorten:
+    those with no hit in the closure's shrink index, so no move is built."""
+    index = c.shrink_index
     return [e.tail for e in c.elements if e.axis == axis
-            and not any(s in index for s in _suffixes(e.tail.letters))]
+            and next(shrinkers(index, e.tail.letters), None) is None]
 
 
 def _tail_filter(c: ClosureSet) -> tuple[QuandleElement, ...]:
@@ -123,7 +111,10 @@ def compute_S(c: ClosureSet, check_stability: bool = False,
     witness can be missing: each shrinkable element e of c is
     act(e', q, -eps) for the shorter elements e' = act(e, q, eps) and q of
     c, so by induction on tail length the re-closure regenerates all of c
-    within the bound.  The witness check stays as a guard.
+    within the bound.  The witness check stays as a guard.  Nor can the
+    significant-factor check fail: it fails exactly when one element of the
+    set shortens another (:func:`conj_quandle.shrinkers`), and no candidate
+    element does, so it too stays as a guard.
 
     ``max_elements`` is the element budget of the closures built here (at
     L + 2 for the stability check, and the witness re-closure).

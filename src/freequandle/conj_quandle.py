@@ -90,6 +90,53 @@ def act(a: QuandleElement, q: QuandleElement, eps: int = RIGHT) -> QuandleElemen
     return QuandleElement(a.axis, Word(a.alphabet, tail))
 
 
+def shrink_index(elements) -> tuple[dict, dict]:
+    """A trie of the elements' reversed tails for :func:`shrinkers`.  A node
+    is ``(children by letter, {y + 1: least k})`` over the ``elements[k] =
+    y^u`` whose reversed tail ends at it."""
+    root: tuple[dict, dict] = ({}, {})
+    for k, e in enumerate(elements):
+        node = root
+        for lt in reversed(e.tail.letters):
+            node = node[0].setdefault(lt, ({}, {}))
+        node[1].setdefault(e.axis + 1, k)
+    return root
+
+
+def shrinkers(index, tail: tuple[int, ...]):
+    """``(k, eps)`` for each indexed ``elements[k]`` whose eps action
+    shortens ``tail``, by one walk of ``tail`` reversed: linear in
+    ``len(tail)``.
+
+    The suffix characterization: ``gw(q)^eps = u^-1 y^eps u`` for
+    ``q = y^u``, and by parity ``tail · gw(q)^eps`` is shorter than ``tail``
+    exactly when the half ``u^-1 y^eps`` cancels completely, that is, when
+    ``tail`` ends with ``y^-eps u``.  The walk meets each u that is a
+    proper suffix of ``tail``; the letter of ``tail`` before it names y and
+    eps.  Of the elements filed there with that axis only the least k is
+    yielded, so ``min`` of the hits is the first move of a scan over the
+    elements in index order, eps -1 before +1.
+
+    The significant-factor criterion (Lyndon–Schupp 1977, I.2) asks the
+    same of a set.  For ``a = t_a^-1 x^σ t_a`` and ``b = t_b^-1 y^τ t_b``,
+    ``a·b`` cancels past a central letter exactly when the longer tail ends
+    with ``x^σ t_a`` (a shorter) or ``y^-τ t_b`` (b shorter); equal tails
+    do so only if ``a = b^-1``.  So a product over the set and its inverses
+    fails iff some ``elements[k]`` is shortened by an ``elements[j]^eps``,
+    and then ``elements[j] · elements[k]`` fails if eps is -1 and
+    ``elements[k] · elements[j]`` if it is +1.
+    """
+    node = index
+    for lt in reversed(tail):
+        children, ends = node
+        k = ends.get(abs(lt))
+        if k is not None:
+            yield k, -1 if lt > 0 else 1
+        node = children.get(lt)
+        if node is None:
+            return
+
+
 def parse_element(alphabet: Alphabet, text: str) -> QuandleElement:
     """Parse the element grammar.
 
@@ -173,6 +220,8 @@ def verify_axioms(alphabet: Alphabet, sample_count: int, max_tail_len: int = 4,
     """
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
+    if max_tail_len < 0:
+        raise ValueError("max_tail_len must be >= 0")
     rng = random.Random(seed)
     checked = {law: 0 for law in _LAWS}
     failures: list[AxiomFailure] = []

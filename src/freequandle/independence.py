@@ -1,24 +1,10 @@
 """Two independent checkers for independence of group words.
 
-The significant-factor checker marks the central letter of each conjugate
-and fails a product u·v (u != v^-1) over the set and its inverses that
-cancels to a depth > min(|t_u|, |t_v|), i.e. reaches a marked letter; a set
-that passes is a basis of the subgroup it generates.  The exact checker
-passes iff the rank ``E - V + 1`` of the words' folded Stallings graph
-equals the number of distinct words.
-
-The suffix characterization: u = t_u^-1 x_u^σ t_u ends in t_u and v starts
-with t_v^-1, so u·v cancels past min(|t_u|, |t_v|) exactly when one tail is
-a proper suffix of the other and the next letter of the longer tail is the
-shorter entry's signed axis letter σ·x (u shorter) or its negation (v
-shorter).  Equal tails never fail: the product then cancels past the
-centre only when u = v^-1.  So if any product fails, with a next letter
-±x of the shorter element's axis x, then a product of two elements of the
-set fails as well: shorter · longer when the letter is x, longer · shorter
-when it is x^-1.
-
-A significant-factor FAIL means "criterion inapplicable with central
-factors", not "dependent"; the exact verdict decides independence.
+A set that passes the significant-factor checker is a basis of the subgroup
+it generates; a FAIL means "criterion inapplicable with central factors",
+not "dependent".  The exact checker passes iff the rank ``E - V + 1`` of the
+words' folded Stallings graph equals the number of distinct words, and so
+decides independence.
 """
 
 from __future__ import annotations
@@ -26,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj_quandle import to_group_word
+from .conj_quandle import shrink_index, shrinkers, to_group_word
 from .errors import EmptyInputWord
 from .free_group import cancellation_depth
 
@@ -51,10 +37,9 @@ def check_significant_factors(elements) -> IndependenceReport:
 
     The documented scan order takes the products of two elements of the
     set, (a, b) row by row, before every product with an inverse; the
-    report names the first failing product in it.  By the suffix
-    characterization (module docstring) that is always a product of two
-    elements, the least failing (a, b), read off a trie of reversed tails
-    with one walk per tail: linear in total letters, with no pair list.
+    report names the first failing product in it.  That is always a product
+    of two elements, the least failing (a, b), read off the set's shrink
+    index (:func:`conj_quandle.shrinkers`): linear in total letters.
     """
     elements = list(elements)
     if not elements:
@@ -74,28 +59,11 @@ def check_significant_factors(elements) -> IndependenceReport:
 
 
 def _failing_pairs(elements):
-    """Failing products elements[a] · elements[b] as index pairs (a, b).
-
-    Each element's walk meets the shorter tails that are suffixes of its
-    own.  A hit yields one pair, with the least element filed there, so the
-    least failing pair of all is among those yielded.
-    """
-    # a node is (children by next tail letter, least element index by axis
-    # letter of the elements whose reversed tail ends at it)
-    root: tuple[dict, dict] = ({}, {})
+    """Failing products elements[a] · elements[b] as (a, b), the least among them."""
+    index = shrink_index(elements)
     for k, e in enumerate(elements):
-        node = root
-        for lt in reversed(e.tail.letters):
-            node = node[0].setdefault(lt, ({}, {}))
-        node[1].setdefault(e.axis + 1, k)
-    for k, e in enumerate(elements):
-        node = root
-        for lt in reversed(e.tail.letters):
-            children, shorter = node
-            j = shorter.get(abs(lt))
-            if j is not None:
-                yield (j, k) if lt > 0 else (k, j)
-            node = children[lt]
+        for j, eps in shrinkers(index, e.tail.letters):
+            yield (j, k) if eps == -1 else (k, j)
 
 
 def _folded_rank(words) -> int:

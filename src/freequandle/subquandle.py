@@ -69,12 +69,7 @@ Derivation = tuple[QuandleElement, QuandleElement, int]  # (a, q, eps)
 
 @dataclass(frozen=True)
 class ClosureSet:
-    """Deterministic bounded closure with one derivation per non-generator.
-
-    ``q^eps`` with ``q = y^u`` shortens a tail iff the tail ends with
-    ``y^-eps u``; :attr:`_shrinkers` indexes the closure by that suffix for
-    ``basis.is_shrinkable`` and ``basis.compute_T``.
-    """
+    """Deterministic bounded closure with one derivation per non-generator."""
 
     generators: tuple[QuandleElement, ...]
     bound: int
@@ -92,19 +87,9 @@ class ClosureSet:
         return e in self.derivations or e in self.generators
 
     @cached_property
-    def _shrinkers(self) -> dict[tuple[int, ...], tuple[int, int]]:
-        """``(letter(y, -eps),) + u`` -> ``(k, eps)`` for ``elements[k] = y^u``.
-
-        Built on first use.  The suffix names q and eps, so each key has one
-        entry, and ``(k, eps)`` orders the entries as a scan of the elements
-        in insertion order, eps -1 before +1.
-        """
-        index = {}
-        for k, q in enumerate(self.elements):
-            u = q.tail.letters
-            for eps in (-1, 1):
-                index[(fg.letter(q.axis, -eps),) + u] = (k, eps)
-        return index
+    def shrink_index(self) -> tuple[dict, dict]:
+        """:func:`conj_quandle.shrink_index` of the elements, built on first use."""
+        return cq.shrink_index(self.elements)
 
 
 def _acting_words(e: RawElement):
@@ -253,11 +238,15 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     closures.
 
     ``max_elements`` raises :class:`ClosureTooLarge`, naming the budget,
-    the bound and the size reached, once the closure grows past it.
+    the bound and the size reached, once the closure grows past it, and
+    up front for a budget below 1.
     ``stop_when_contains`` stops enumeration as soon as all listed elements
     are present; the result is then a prefix of the full closure whose
     derivations are still valid.
     """
+    if max_elements is not None and max_elements < 1:
+        raise ClosureTooLarge(
+            f"the element budget of {max_elements} holds no closure; it must be at least 1")
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise EmptyGeneratorSet("closure needs at least one generator")

@@ -107,6 +107,13 @@ class TestElementBudget:
         assert err == (f"error: closure at bound L = {tripped_bound} reached "
                        f"{full} elements, over the element budget of {full - 1}\n")
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_is_input_error(self, capsys, problem_file, budget):
+        code, out, err = run(capsys, "closure", problem_file, "--max-elements", budget)
+        assert (code, out) == (2, "")
+        assert err == (f"error: the element budget of {budget} holds no closure; "
+                       "it must be at least 1\n")
+
 
 class TestBasis:
     def test_paper_method(self, capsys, problem_file):
@@ -236,6 +243,12 @@ class TestVerifyAxioms:
         assert code == 1 and not err
         assert out == ("kind=axioms\tfailures=1\tsamples=3\tseed=5\tverdict=FAIL\n"
                        f"kind=counterexample\telements=x^(y) , y\tlaw={law}\n")
+
+    @pytest.mark.parametrize("alphabet", ["x", "x y"])
+    def test_negative_tail_length_is_input_error(self, capsys, alphabet):
+        code, out, err = run(capsys, "verify-axioms", "--alphabet", alphabet,
+                             "--max-tail-len", "-2")
+        assert (code, out, err) == (2, "", "error: max_tail_len must be >= 0\n")
 
 
 class TestExpress:

@@ -140,3 +140,8 @@ class TestVerifyAxioms:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             cq.verify_axioms(XY, 0)
+
+    @pytest.mark.parametrize("names", [("x",), ("x", "y")])
+    def test_rejects_negative_tail_length(self, names):
+        with pytest.raises(ValueError, match="max_tail_len must be >= 0"):
+            cq.verify_axioms(Alphabet(names), 10, max_tail_len=-2)

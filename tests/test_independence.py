@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -9,8 +10,11 @@ from freequandle import basis
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle import independence as ind
+from freequandle import subquandle as sq
 from freequandle.errors import EmptyInputWord
 from freequandle.free_group import Alphabet
+
+from test_basis import _ref_shrinks
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
@@ -187,6 +191,47 @@ class TestSignificantFactorsIndex:
             tracemalloc.stop()
         assert report.passed
         assert peak < 10 * 2**20
+
+
+class TestShrinkRelation:
+    """The significant-factor check and the tail filter decide one relation:
+    a set fails exactly when one of its elements shortens another."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(suffix_sets())
+    def test_fails_iff_one_element_shortens_another(self, elements):
+        # _ref_shrinks is the plain suffix scan, not the shared index
+        shortened = any(_ref_shrinks(a.tail.letters, q, eps)
+                        for a in elements for q in elements for eps in (-1, 1))
+        assert ind.check_significant_factors(elements).passed == (not shortened)
+
+    def test_corpus_candidates_pass(self, corpus, corpus_closures):
+        # no candidate element is shortened by another, so both methods'
+        # candidates pass by construction
+        closures = ([sq.closure(gens, 6) for _, _, gens in corpus]
+                    + [c for _, c in corpus_closures])
+        reports = [method(c) for c in closures
+                   for method in (basis.compute_S, basis.greedy_shrink)]
+        assert len(reports) == 400
+        assert all(r.hall_verdict.passed for r in reports)
+
+    def test_linear_in_word_length(self):
+        # a quadratic suffix scan takes seconds on these words
+        xyz = Alphabet(("x", "y", "z"))
+        c = sq.closure([cq.parse_element(xyz, t) for t in ("x^(y)", "z")], 4)
+        long_tail = (2, 3) * 10000  # (y z)^10000
+        start = time.perf_counter()
+        move = basis.is_shrinkable(fg.Word(xyz, long_tail), 0, c)
+        shrink_s = time.perf_counter() - start
+        assert (str(move.by), move.eps) == ("z", -1)
+
+        pair = [cq.QuandleElement(2, fg.Word(xyz, long_tail)),
+                cq.QuandleElement(0, fg.Word(xyz, (3,) + long_tail))]
+        start = time.perf_counter()
+        report = ind.check_significant_factors(pair)
+        hall_s = time.perf_counter() - start
+        assert report.cancellation_depth == 20001
+        assert shrink_s < 0.5 and hall_s < 0.5
 
 
 class TestNielsen:

@@ -56,6 +56,11 @@ class TestClosure:
         with pytest.raises(ClosureTooLarge):
             sq.closure(els("x", "y"), 6, max_elements=100)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_nonpositive_budget_rejected_up_front(self, budget):
+        with pytest.raises(ClosureTooLarge, match=f"element budget of {budget} "):
+            sq.closure(els("x"), 4, max_elements=budget)
+
     def test_deterministic(self):
         a = sq.closure(els("x^(y)", "y"), 2)
         b = sq.closure(els("x^(y)", "y"), 2)
