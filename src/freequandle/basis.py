@@ -101,8 +101,7 @@ def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
     )
 
 
-def compute_S(c: ClosureSet, check_stability: bool = False,
-              max_elements: Optional[int] = None) -> BasisReport:
+def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     """Candidate basis from the per-axis non-shrinkable tails.
 
     The candidate is certified a posteriori: generation witnesses for the
@@ -116,21 +115,21 @@ def compute_S(c: ClosureSet, check_stability: bool = False,
     set shortens another (:func:`conj_quandle.shrinkers`), and no candidate
     element does, so it too stays as a guard.
 
-    ``max_elements`` is the element budget of the closures built here (at
-    L + 2 for the stability check, and the witness re-closure).
+    The closures built here (at L + 2 for the stability check, and the
+    witness re-closure) inherit c's element budget.
     """
     candidate = _tail_filter(c)
     stable = None
     if check_stability:
-        bigger = closure(list(c.generators), c.bound + 2, max_elements)
+        bigger = closure(list(c.generators), c.bound + 2, c.max_elements)
         stable = set(_tail_filter(bigger)) == set(candidate)
     # stops once every generator is found: a prefix of the full closure
     # with the same derivations, or all of it if some generator is missing
-    sub = closure(candidate, c.bound, max_elements, stop_when_contains=c.generators)
+    sub = closure(candidate, c.bound, c.max_elements, stop_when_contains=c.generators)
     return _report(c, candidate, METHOD_PAPER, sub, stable=stable)
 
 
-def greedy_shrink(c: ClosureSet, max_elements: Optional[int] = None) -> BasisReport:
+def greedy_shrink(c: ClosureSet) -> BasisReport:
     """Shrink the generators of c against their own bounded closure.
 
     The working set starts as c's (deduped) generators, with c as its
@@ -139,8 +138,8 @@ def greedy_shrink(c: ClosureSet, max_elements: Optional[int] = None) -> BasisRep
     closure, eps -1 before +1), replacing the target, re-deduping and
     re-closing.  Total tail length strictly decreases, so the loop
     terminates.  The witnesses come from the last working closure, the
-    full bounded closure of the candidate.  ``max_elements`` is the
-    element budget of each working closure.
+    full bounded closure of the candidate.  Each working closure inherits
+    c's bound and element budget.
     """
     working = list(c.generators)
     wc = c
@@ -155,6 +154,6 @@ def greedy_shrink(c: ClosureSet, max_elements: Optional[int] = None) -> BasisRep
         moves.append(mv)
         working[ti] = mv.result
         working = list(dict.fromkeys(working))
-        wc = closure(working, c.bound, max_elements)
+        wc = closure(working, c.bound, c.max_elements)
 
     return _report(c, tuple(working), METHOD_GREEDY, wc, moves=tuple(moves))

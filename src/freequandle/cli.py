@@ -114,9 +114,9 @@ def cmd_basis(args):
     _, gens = _read_problem(args.file)
     c = sq.closure(gens, args.max_tail_len, args.max_elements)
     if args.method == "paper":
-        report = basis_mod.compute_S(c, args.check_stability, args.max_elements)
+        report = basis_mod.compute_S(c, args.check_stability)
     else:
-        report = basis_mod.greedy_shrink(c, args.max_elements)
+        report = basis_mod.greedy_shrink(c)
     yield from _basis_records(report)
     return 0 if report.certified else 1
 
@@ -202,65 +202,61 @@ def build_parser() -> argparse.ArgumentParser:
                     "free-basis computation with certification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, file_input=False):
-        p.add_argument("--format", choices=("text", "machine"), default="text")
-        if file_input:
-            p.add_argument("file", help="problem file (alphabet: header, one "
-                           "element per line)")
-            p.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
-                           metavar="L")
-            p.add_argument("--max-elements", type=int, metavar="N",
-                           help="element budget of every closure the command "
-                                "builds; exceeding it is an input error "
-                                "(exit 2)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "machine"), default="text")
+    alphabet = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    alphabet.add_argument("--alphabet", required=True)
+    problem = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    problem.add_argument("file", help="problem file (alphabet: header, one "
+                         "element per line)")
+    problem.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
+                         metavar="L")
+    problem.add_argument("--max-elements", type=int, metavar="N",
+                         help="element budget of every closure the command "
+                              "builds; exceeding it is an input error (exit 2)")
 
-    p = sub.add_parser("reduce", help="reduce a word to normal form")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("reduce", parents=[alphabet],
+                       help="reduce a word to normal form")
     p.add_argument("word")
-    add_common(p)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("qop", help="apply a quandle operation to two elements")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("qop", parents=[alphabet],
+                       help="apply a quandle operation to two elements")
     p.add_argument("--op", choices=("right", "left"), default="right")
     p.add_argument("element")
     p.add_argument("by")
-    add_common(p)
     p.set_defaults(func=cmd_qop)
 
-    p = sub.add_parser("closure", help="enumerate a bounded subquandle closure")
-    add_common(p, file_input=True)
+    p = sub.add_parser("closure", parents=[problem],
+                       help="enumerate a bounded subquandle closure")
     p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("basis", help="compute and certify a free basis")
-    add_common(p, file_input=True)
+    p = sub.add_parser("basis", parents=[problem],
+                       help="compute and certify a free basis")
     p.add_argument("--method", choices=("paper", "greedy"), default="paper")
     p.add_argument("--check-stability", action="store_true",
                    help="recompute the candidate at L+2 and flag a change "
                         "(paper method only)")
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("check-independence",
+    p = sub.add_parser("check-independence", parents=[fmt],
                        help="run the independence checkers on a file of "
                             "elements or group words")
-    add_common(p)
     p.add_argument("file", help="file of elements or group words (alphabet: "
                    "header, one per line)")
     p.add_argument("--method", choices=("hall", "nielsen", "both"),
                    default="both")
     p.set_defaults(func=cmd_check_independence)
 
-    p = sub.add_parser("verify-axioms", help="sample-check the quandle laws")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("verify-axioms", parents=[alphabet],
+                       help="sample-check the quandle laws")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-tail-len", type=int, default=4, metavar="L")
-    add_common(p)
     p.set_defaults(func=cmd_verify_axioms)
 
-    p = sub.add_parser("express",
+    p = sub.add_parser("express", parents=[problem],
                        help="express a closure element over the generators")
-    add_common(p, file_input=True)
     p.add_argument("element")
     p.set_defaults(func=cmd_express)
 

@@ -54,7 +54,7 @@ class Alphabet:
         for name in self.names:
             if not name or any(c.isspace() for c in name) or "^" in name:
                 raise ValueError(f"bad generator name {name!r}")
-            if name == "1" or "(" in name or ")" in name:
+            if name == "1" or "(" in name or ")" in name or name.startswith("#"):
                 raise ValueError(f"reserved characters in generator name {name!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
 

@@ -69,12 +69,15 @@ Derivation = tuple[QuandleElement, QuandleElement, int]  # (a, q, eps)
 
 @dataclass(frozen=True)
 class ClosureSet:
-    """Deterministic bounded closure with one derivation per non-generator."""
+    """Deterministic bounded closure with one derivation per non-generator,
+    built under a tail bound and an element budget (None: none) that the
+    closures ``basis`` derives from it inherit."""
 
     generators: tuple[QuandleElement, ...]
     bound: int
     elements: tuple[QuandleElement, ...]
     derivations: dict[QuandleElement, Derivation]
+    max_elements: Optional[int] = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -287,7 +290,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
         wrapped[k]: (wrapped[i], wrapped[j], eps)
         for k, (i, j, eps) in enumerate(derivations, len(gens))
     }
-    return ClosureSet(tuple(gens), bound, wrapped, deriv)
+    return ClosureSet(tuple(gens), bound, wrapped, deriv, max_elements)
 
 
 def contains(c: ClosureSet, e: QuandleElement) -> bool:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from freequandle import basis as bs
@@ -165,9 +167,10 @@ class TestComputeS:
         report = bs.compute_S(small_closure)
         size = len(sq.closure(report.candidate, small_closure.bound,
                               stop_when_contains=small_closure.generators))
-        assert bs.compute_S(small_closure, max_elements=size) == report
+        budgeted = dataclasses.replace(small_closure, max_elements=size)
+        assert bs.compute_S(budgeted) == report
         with pytest.raises(ClosureTooLarge):
-            bs.compute_S(small_closure, max_elements=size - 1)
+            bs.compute_S(dataclasses.replace(small_closure, max_elements=size - 1))
 
 
 class TestGreedyShrink:
@@ -187,12 +190,13 @@ class TestGreedyShrink:
         assert report.certified
 
     def test_budget_applies_to_working_closures(self, small_closure):
-        # small_closure itself was built without a budget
+        # the budget is stated on small_closure, not used to build it
         report = bs.greedy_shrink(small_closure)
         size = len(sq.closure(report.candidate, small_closure.bound))
-        assert bs.greedy_shrink(small_closure, max_elements=size) == report
+        budgeted = dataclasses.replace(small_closure, max_elements=size)
+        assert bs.greedy_shrink(budgeted) == report
         with pytest.raises(ClosureTooLarge):
-            bs.greedy_shrink(small_closure, max_elements=size - 1)
+            bs.greedy_shrink(dataclasses.replace(small_closure, max_elements=size - 1))
 
     def test_rigid_set(self, rigid_closure):
         report = bs.greedy_shrink(rigid_closure)
@@ -223,6 +227,33 @@ class TestGreedyShrink:
                     working[working.index(mv.target)] = mv.result
                     working = list(dict.fromkeys(working))
             assert tuple(working) == report.candidate
+
+
+class TestInheritedBudget:
+    # {x^(y), y} has 162 elements at L = 4 and 1,458 at L = 6
+    def test_stability_closure_inherits_budget(self):
+        c = sq.closure(els("x^(y)", "y"), 4, max_elements=162)
+        with pytest.raises(ClosureTooLarge) as exc:
+            bs.compute_S(c, check_stability=True)
+        assert str(exc.value) == ("closure at bound L = 6 reached 163 elements, "
+                                  "over the element budget of 162")
+
+    @pytest.mark.parametrize("derive", [lambda c: bs.compute_S(c, True),
+                                        bs.greedy_shrink],
+                             ids=["compute_S", "greedy_shrink"])
+    def test_every_derived_closure_gets_the_budget(self, monkeypatch, derive):
+        c = sq.closure(els("x^(y)", "y"), 4, max_elements=5000)
+        budgets = []
+        real = sq.closure
+
+        def recording(gens, bound=sq.DEFAULT_BOUND, max_elements=None,
+                      stop_when_contains=None):
+            budgets.append(max_elements)
+            return real(gens, bound, max_elements, stop_when_contains)
+
+        monkeypatch.setattr(bs, "closure", recording)
+        derive(c)
+        assert budgets and budgets == [5000] * len(budgets)
 
 
 class TestAgreement:

@@ -75,6 +75,14 @@ class TestClosure:
         assert lines[0] == "kind=closure\tbound=2\tsize=18"
         assert "kind=element\tvalue=x^(y)" in lines
 
+    def test_comment_marker_generator_is_input_error(self, capsys, tmp_path):
+        # "#a^(b)" would be read as a comment, leaving the closure of b alone
+        path = tmp_path / "hash.txt"
+        path.write_text("alphabet: #a b\n#a^(b)\nb\n")
+        code, out, err = run(capsys, "closure", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: reserved characters in generator name '#a'\n"
+
 
 class TestElementBudget:
     @pytest.mark.parametrize("argv, tripped_bound", [

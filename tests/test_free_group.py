@@ -134,7 +134,8 @@ class TestAlphabet:
             Alphabet(("x", "x"))
 
     def test_rejects_bad_names(self):
-        for bad in ("a b", "a^", ""):
+        # a problem-file line starting with # is a comment
+        for bad in ("a b", "a^", "", "#a"):
             with pytest.raises(ValueError):
                 Alphabet((bad,))
 
