@@ -195,76 +195,103 @@ def cmd_express(args):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> the shared parent parser it names, in the order -h lists them
+_COMMANDS = {"reduce": "alphabet", "qop": "alphabet", "closure": "problem",
+             "basis": "problem", "check-independence": "fmt",
+             "verify-axioms": "alphabet", "express": "problem"}
+
+
+def _parent_parsers(kinds) -> dict:
+    """The shared parent parsers named in ``kinds``, and ``fmt``, which the
+    other two include."""
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "machine"), default="text")
+    parents = {"fmt": fmt}
+    if "alphabet" in kinds:
+        alphabet = parents["alphabet"] = argparse.ArgumentParser(
+            add_help=False, parents=[fmt])
+        alphabet.add_argument("--alphabet", required=True)
+    if "problem" in kinds:
+        problem = parents["problem"] = argparse.ArgumentParser(
+            add_help=False, parents=[fmt])
+        problem.add_argument("file", help="problem file (alphabet: header, "
+                             "one element per line)")
+        problem.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
+                             metavar="L")
+        problem.add_argument("--max-elements", type=int, metavar="N",
+                             help="element budget of every closure the "
+                                  "command builds; exceeding it is an input "
+                                  "error (exit 2)")
+    return parents
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's argument parser, with every subcommand.
+
+    Given a subcommand's name, the root holds that subcommand alone, and
+    only the parent parsers it uses are built (3 or 4 parsers, not 11): an
+    argv that starts with the name parses, or fails, exactly as under the
+    full parser.
+    """
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
     parser = argparse.ArgumentParser(
         prog="freequandle",
         description="Free-quandle arithmetic, subquandle closures, and "
                     "free-basis computation with certification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one subcommand, the root usage an error prints still lists all
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    parents = _parent_parsers({_COMMANDS[name] for name in names})
 
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "machine"), default="text")
-    alphabet = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    alphabet.add_argument("--alphabet", required=True)
-    problem = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    problem.add_argument("file", help="problem file (alphabet: header, one "
-                         "element per line)")
-    problem.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
-                         metavar="L")
-    problem.add_argument("--max-elements", type=int, metavar="N",
-                         help="element budget of every closure the command "
-                              "builds; exceeding it is an input error (exit 2)")
+    def add(name, func, help):
+        if name in names:
+            p = sub.add_parser(name, parents=[parents[_COMMANDS[name]]],
+                               help=help)
+            p.set_defaults(func=func)
+            return p
 
-    p = sub.add_parser("reduce", parents=[alphabet],
-                       help="reduce a word to normal form")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_reduce)
+    if p := add("reduce", cmd_reduce, "reduce a word to normal form"):
+        p.add_argument("word")
 
-    p = sub.add_parser("qop", parents=[alphabet],
-                       help="apply a quandle operation to two elements")
-    p.add_argument("--op", choices=("right", "left"), default="right")
-    p.add_argument("element")
-    p.add_argument("by")
-    p.set_defaults(func=cmd_qop)
+    if p := add("qop", cmd_qop, "apply a quandle operation to two elements"):
+        p.add_argument("--op", choices=("right", "left"), default="right")
+        p.add_argument("element")
+        p.add_argument("by")
 
-    p = sub.add_parser("closure", parents=[problem],
-                       help="enumerate a bounded subquandle closure")
-    p.set_defaults(func=cmd_closure)
+    add("closure", cmd_closure, "enumerate a bounded subquandle closure")
 
-    p = sub.add_parser("basis", parents=[problem],
-                       help="compute and certify a free basis")
-    p.add_argument("--method", choices=("paper", "greedy"), default="paper")
-    p.add_argument("--check-stability", action="store_true",
-                   help="recompute the candidate at L+2 and flag a change "
-                        "(paper method only)")
-    p.set_defaults(func=cmd_basis)
+    if p := add("basis", cmd_basis, "compute and certify a free basis"):
+        p.add_argument("--method", choices=("paper", "greedy"), default="paper")
+        p.add_argument("--check-stability", action="store_true",
+                       help="recompute the candidate at L+2 and flag a change "
+                            "(paper method only)")
 
-    p = sub.add_parser("check-independence", parents=[fmt],
-                       help="run the independence checkers on a file of "
-                            "elements or group words")
-    p.add_argument("file", help="file of elements or group words (alphabet: "
-                   "header, one per line)")
-    p.add_argument("--method", choices=("hall", "nielsen", "both"),
-                   default="both")
-    p.set_defaults(func=cmd_check_independence)
+    if p := add("check-independence", cmd_check_independence,
+                "run the independence checkers on a file of elements or "
+                "group words"):
+        p.add_argument("file", help="file of elements or group words "
+                       "(alphabet: header, one per line)")
+        p.add_argument("--method", choices=("hall", "nielsen", "both"),
+                       default="both")
 
-    p = sub.add_parser("verify-axioms", parents=[alphabet],
-                       help="sample-check the quandle laws")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tail-len", type=int, default=4, metavar="L")
-    p.set_defaults(func=cmd_verify_axioms)
+    if p := add("verify-axioms", cmd_verify_axioms,
+                "sample-check the quandle laws"):
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-tail-len", type=int, default=4, metavar="L")
 
-    p = sub.add_parser("express", parents=[problem],
-                       help="express a closure element over the generators")
-    p.add_argument("element")
-    p.set_defaults(func=cmd_express)
+    if p := add("express", cmd_express,
+                "express a closure element over the generators"):
+        p.add_argument("element")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _emit(args.func(args), args.format)
     except (FreeQuandleError, ValueError, OSError) as exc:

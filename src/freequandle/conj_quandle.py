@@ -147,10 +147,12 @@ def parse_element(alphabet: Alphabet, text: str) -> QuandleElement:
     if "^(" in text:
         name, _, rest = text.partition("^")
         rest = rest.strip()
-        if not (rest.startswith("(") and rest.endswith(")")):
+        inner = rest[1:-1]
+        if not (rest.startswith("(") and rest.endswith(")")
+                and "(" not in inner and ")" not in inner):
             raise NotInFreeQuandle(f"malformed element {text!r}")
         axis = alphabet.index(name.strip())
-        tail = fg.parse_word(alphabet, rest[1:-1])
+        tail = fg.parse_word(alphabet, inner)
         return canonicalize(axis, tail)
     return from_group_word(fg.parse_word(alphabet, text))
 

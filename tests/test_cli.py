@@ -1,3 +1,4 @@
+import argparse
 import random
 
 import pytest
@@ -215,10 +216,11 @@ class TestCheckIndependence:
     def test_malformed_element_line(self, capsys, tmp_path, command):
         # a line with "^(" is in the element grammar, not a raw word
         path = tmp_path / "elems.txt"
-        path.write_text("alphabet: x y\ny\nx^(y\n")
-        code, out, err = run(capsys, command, str(path))
-        assert code == 2 and out == ""
-        assert err == "error: malformed element 'x^(y'\n"
+        for line in ("x^(y", "x^(y)^(y)"):
+            path.write_text(f"alphabet: x y\ny\n{line}\n")
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2 and out == ""
+            assert err == f"error: malformed element {line!r}\n"
 
 
 class TestVerifyAxioms:
@@ -337,3 +339,85 @@ class TestDeterminismAndRoundTrip:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "basis", "/nonexistent/problem.txt")
         assert code == 2 and err
+
+
+# argv that each subcommand parses without error
+VALID = {
+    "reduce": ["--alphabet", "x y", "x"],
+    "qop": ["--alphabet", "x y", "x", "y"],
+    "closure": ["problem.txt"],
+    "basis": ["problem.txt"],
+    "check-independence": ["elems.txt"],
+    "verify-axioms": ["--alphabet", "x y"],
+    "express": ["problem.txt", "x"],
+}
+ROOT_ARGVS = [["-h"], [], ["frobnicate"], ["--format", "machine", "closure"]]
+SUBCOMMAND_ARGVS = [
+    argv
+    for name, valid in VALID.items()
+    for argv in ([name, "-h"], [name], [name, *valid],
+                 [name, *valid, "--bogus"], [name, *valid, "extra", "more"],
+                 [name, *valid, "--format", "xml"],
+                 [name, *valid, "--max-tail-len", "two"])
+]
+
+
+class _Parsed(Exception):
+    pass
+
+
+class TestParserSelection:
+    """``main`` builds only the subcommand its argv names."""
+
+    @staticmethod
+    def outcome(capsys, monkeypatch, call):
+        real = argparse.ArgumentParser.parse_args
+
+        def parse_args(self, *args, **kwargs):
+            raise _Parsed(real(self, *args, **kwargs))
+
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+                call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except _Parsed as parsed:
+            result = ("parsed", vars(parsed.args[0]))
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ROOT_ARGVS + SUBCOMMAND_ARGVS, ids=str)
+    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = self.outcome(capsys, monkeypatch,
+                            lambda: cli.build_parser().parse_args(argv))
+        assert self.outcome(capsys, monkeypatch, lambda: cli.main(argv)) == full
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "required: command"),
+        (["frobnicate"], "argument command: invalid choice"),
+    ])
+    def test_root_errors_name_the_command(self, capsys, monkeypatch, argv,
+                                          message):
+        # the one-subcommand root's list of every command stays out of these
+        result, _, err = self.outcome(capsys, monkeypatch, lambda: cli.main(argv))
+        assert result == ("exit", 2) and message in err
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (["check-independence"], 3),  # the root, fmt and the subcommand
+        (["basis", "--max-tail-len", "2"], 4),  # and problem
+    ], ids=["check-independence", "basis"])
+    def test_parsers_built_per_call(self, capsys, monkeypatch, problem_file,
+                                    argv, parsers):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, _ = run(capsys, argv[0], problem_file, *argv[1:])
+        assert code in (0, 1) and out
+        assert len(built) == parsers
