@@ -18,7 +18,7 @@ from . import conj_quandle as cq
 from . import free_group as fg
 from . import independence as ind
 from . import subquandle as sq
-from .errors import FreeQuandleError, NotInFreeQuandle
+from .errors import EmptyInputWord, FreeQuandleError, NotInFreeQuandle
 from .free_group import Alphabet
 from .subquandle import DEFAULT_BOUND
 
@@ -142,7 +142,8 @@ def cmd_check_independence(args):
 
 def _read_independence_input(path: str):
     """Each line is an element (element grammar) or a raw group word; a
-    line holding ``^(`` is an element."""
+    line holding ``^(`` is an element.  A word that reduces to the identity
+    is rejected here, before any command output."""
     with open(path, encoding="utf-8") as fh:
         alphabet, lines = sq.parse_header(fh.read())
     items = []
@@ -154,6 +155,8 @@ def _read_independence_input(path: str):
             if "^(" in ln:  # the element grammar: a malformed element
                 raise
             elem, word = None, fg.parse_word(alphabet, ln)
+            if word.is_identity():
+                raise EmptyInputWord("the identity word is not allowed as input")
         items.append((ln, elem, word))
     if not items:
         raise ValueError("input file lists no elements or words")

@@ -5,6 +5,14 @@ it generates; a FAIL means "criterion inapplicable with central factors",
 not "dependent".  The exact checker passes iff the rank ``E - V + 1`` of the
 words' folded Stallings graph equals the number of distinct words, and so
 decides independence.
+
+The graph stays folded as each word is added: the word's longest known
+prefix is read from the base, and its longest known suffix backwards from
+the base.  Merges can put the base under another union-find root, so both
+reads start at the base's root and resolve every edge target.  The ends of
+an unread middle ``a ... a^-1`` that sit on one vertex share a new stem
+vertex; the rest of the middle becomes a fresh path.  Vertices are merged
+only when a word closes without a middle, its two ends apart.
 """
 
 from __future__ import annotations
@@ -66,51 +74,105 @@ def _failing_pairs(elements):
             yield (j, k) if eps == -1 else (k, j)
 
 
-def _folded_rank(words) -> int:
-    """Rank ``E - V + 1`` of the Stallings graph of the subgroup ``<words>``.
+class _Folding:
+    """A folded Stallings graph, grown one reduced word at a time.
 
-    Each word becomes a loop at the base vertex 0.  Two edges with the same
-    label at a vertex are folded into one: the duplicate is dropped and its
-    target merged (union-find) with the kept edge's target, until none remain.
+    Vertex 0 is the base.  ``out[v]`` maps a letter to the target of the
+    edge labelled with it at v, both directions stored.  Merged vertices go
+    under a union-find root and edge targets may be stale, so every read
+    resolves them with :meth:`find`.
     """
-    parent: list[int] = []
-    out: list[dict[int, int]] = []  # out[v][letter] = target; both directions
-    pending: list[tuple[int, int]] = []  # pairs of vertices to merge
 
-    def vertex() -> int:
-        parent.append(len(parent))
-        out.append({})
-        return len(parent) - 1
+    def __init__(self):
+        self.parent = [0]
+        self.out: list[dict[int, int]] = [{}]
 
-    def find(v: int) -> int:
+    def find(self, v: int) -> int:
+        parent = self.parent
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
-    def attach(u: int, lt: int, v: int) -> None:
-        kept = out[u].setdefault(lt, v)
-        if kept != v:
-            pending.append((kept, v))
+    def read(self, v: int, letters) -> tuple[int, int]:
+        """Follow ``letters`` from the root v as far as edges exist: the root
+        reached and the number of letters read.  A reduced word is in the
+        subgroup iff reading it from the base's root reads every letter and
+        ends there."""
+        out, parent = self.out, self.parent
+        for k, lt in enumerate(letters):
+            t = out[v].get(lt)
+            if t is None:
+                return v, k
+            v = t if parent[t] == t else self.find(t)
+        return v, len(letters)
 
-    base = vertex()
+    def add(self, w: tuple[int, ...]) -> None:
+        """Add the reduced word w as a loop at the base, keeping the graph
+        folded: read its ends, then add stems and a path, or merge."""
+        parent, out = self.parent, self.out
+        base = self.find(0)
+        p, i = self.read(base, w)
+        q, k = self.read(base, [-lt for lt in reversed(w[i:])])
+        j = len(w) - k
+        if i == j:
+            if p != q:
+                self._merge(p, q)
+            return
+        while i < j - 1:  # a new vertex past p: a stem, or the path to q
+            lt, v = w[i], len(parent)
+            parent.append(v)
+            out.append({-lt: p})
+            out[p][lt] = v
+            if p == q and lt == -w[j - 1]:
+                q, j = v, j - 1
+            p, i = v, i + 1
+        lt = w[i]
+        out[p][lt] = q
+        out[q][-lt] = p
+
+    def _merge(self, p: int, q: int) -> None:
+        """Identify p with q, then fold the duplicate edges that makes."""
+        out, parent, find = self.out, self.parent, self.find
+        pending = [(p, q)]
+
+        def attach(u: int, lt: int, v: int) -> None:
+            kept = out[u].setdefault(lt, v)
+            if kept != v:
+                pending.append((kept, v))
+
+        while pending:
+            a, b = (find(v) for v in pending.pop())
+            if a != b:
+                parent[b] = a
+                for lt, t in out[b].items():
+                    attach(a, lt, t)
+                out[b] = {}
+
+    def rank(self) -> int:
+        """``E - V + 1`` over the roots."""
+        roots = [v for v in range(len(self.parent)) if self.parent[v] == v]
+        return sum(len(self.out[v]) for v in roots) // 2 - len(roots) + 1
+
+
+def _fold(words) -> _Folding:
+    """The folded Stallings graph of the subgroup ``<words>`` of reduced words."""
+    graph = _Folding()
     for w in words:
-        u = base
-        for k, lt in enumerate(w):
-            v = base if k == len(w) - 1 else vertex()
-            attach(u, lt, v)
-            attach(v, -lt, u)
-            u = v
-    while pending:
-        a, b = (find(v) for v in pending.pop())
-        if a != b:
-            parent[b] = a
-            for lt, t in out[b].items():
-                attach(a, lt, t)
-            out[b] = {}
+        graph.add(w)
+    return graph
 
-    roots = [v for v in range(len(parent)) if parent[v] == v]
-    return sum(len(out[v]) for v in roots) // 2 - len(roots) + 1
+
+def _folded_rank(words) -> int:
+    """Rank ``E - V + 1`` of the Stallings graph of the subgroup ``<words>``.
+
+    Each reduced word becomes a loop at the base, folded as it is added
+    (:meth:`_Folding.add`): its known prefix and suffix are read from the
+    base's root, the ends of an unread middle ``a ... a^-1`` share stem
+    vertices, and vertices are merged only when a word closes without a
+    middle.  ``t^-1 x t`` thus adds ``|t|`` vertices, not ``2|t|``.
+    """
+    return _fold(words).rank()
 
 
 def nielsen_independent(words) -> IndependenceReport:

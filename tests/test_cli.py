@@ -212,6 +212,17 @@ class TestCheckIndependence:
                            "--method", "hall")
         assert code == 2 and "element" in err
 
+    @pytest.mark.parametrize("method", ["both", "nielsen"])
+    @pytest.mark.parametrize("line", ["1", "x x^-1"])
+    def test_identity_line_rejected(self, capsys, tmp_path, method, line):
+        # rejected while reading, before any note on raw words
+        path = tmp_path / "words.txt"
+        path.write_text(f"alphabet: x y\nx\n{line}\n")
+        code, out, err = run(capsys, "check-independence", str(path),
+                             "--method", method)
+        assert code == 2 and out == ""
+        assert err == "error: the identity word is not allowed as input\n"
+
     @pytest.mark.parametrize("command", ["check-independence", "basis"])
     def test_malformed_element_line(self, capsys, tmp_path, command):
         # a line with "^(" is in the element grammar, not a raw word

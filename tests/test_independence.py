@@ -18,6 +18,7 @@ from test_basis import _ref_shrinks
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
+XYZ = Alphabet(("x", "y", "z"))
 
 # Dependent sets that a loop of strictly length-reducing Nielsen moves
 # passed, each with a relation lhs = rhs among its words (1-based index, sign).
@@ -160,6 +161,14 @@ def suffix_sets(draw):
     return draw(st.permutations(elements))
 
 
+def wide_elements():
+    """The README's set: x^(w) for the 972 reduced words w of length 6 in
+    y^±1, z^±1."""
+    words = [w for w in itertools.product((2, -2, 3, -3), repeat=6)
+             if all(a != -b for a, b in zip(w, w[1:]))]
+    return [cq.QuandleElement(0, fg.Word(XYZ, w)) for w in words]
+
+
 class TestSignificantFactorsIndex:
     """The reversed-tail index against the restated pair scan."""
 
@@ -176,12 +185,8 @@ class TestSignificantFactorsIndex:
             f"factor (depth {depth})")
 
     def test_wide_passing_set_is_small(self):
-        # x^(w) for the 972 reduced words w of length 6 in y^±1, z^±1: no
-        # tail is a proper suffix of another, so the set passes
-        xyz = Alphabet(("x", "y", "z"))
-        words = [w for w in itertools.product((2, -2, 3, -3), repeat=6)
-                 if all(a != -b for a, b in zip(w, w[1:]))]
-        elements = [cq.QuandleElement(0, fg.Word(xyz, w)) for w in words]
+        # no tail is a proper suffix of another, so the set passes
+        elements = wide_elements()
         assert len(elements) == 972
         tracemalloc.start()
         try:
@@ -322,6 +327,129 @@ class TestConstructedBases:
             assert extra and extra not in basis
             words = [fg.Word(alphabet, b) for b in basis + [extra]]
             assert not ind.nielsen_independent(words).passed, (basis, extra)
+
+
+def reference_folded_rank(words) -> int:
+    """Rank ``E - V + 1`` of the Stallings graph of the subgroup ``<words>``.
+
+    Each word becomes a loop at the base vertex 0.  Two edges with the same
+    label at a vertex are folded into one: the duplicate is dropped and its
+    target merged (union-find) with the kept edge's target, until none remain.
+    """
+    parent: list[int] = []
+    out: list[dict[int, int]] = []  # out[v][letter] = target; both directions
+    pending: list[tuple[int, int]] = []  # pairs of vertices to merge
+
+    def vertex() -> int:
+        parent.append(len(parent))
+        out.append({})
+        return len(parent) - 1
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def attach(u: int, lt: int, v: int) -> None:
+        kept = out[u].setdefault(lt, v)
+        if kept != v:
+            pending.append((kept, v))
+
+    base = vertex()
+    for w in words:
+        u = base
+        for k, lt in enumerate(w):
+            v = base if k == len(w) - 1 else vertex()
+            attach(u, lt, v)
+            attach(v, -lt, u)
+            u = v
+    while pending:
+        a, b = (find(v) for v in pending.pop())
+        if a != b:
+            parent[b] = a
+            for lt, t in out[b].items():
+                attach(a, lt, t)
+            out[b] = {}
+
+    roots = [v for v in range(len(parent)) if parent[v] == v]
+    return sum(len(out[v]) for v in roots) // 2 - len(roots) + 1
+
+
+def random_reduced(rng, letters, lo, hi):
+    return fg.reduced_product((), [rng.choice(letters)
+                                   for _ in range(rng.randint(lo, hi))])
+
+
+def shared_base_set(rng):
+    """Distinct words, each a product of a few shared base words, some of
+    them conjugated by a random word."""
+    n = rng.randint(2, 4)
+    letters = [sign * g for g in range(1, n + 1) for sign in (1, -1)]
+    base = [random_reduced(rng, letters, 1, 4) for _ in range(rng.randint(1, 3))]
+    words = []
+    for _ in range(rng.randint(1, 6)):
+        u = evaluate(base, [(rng.randint(1, len(base)), rng.choice((1, -1)))
+                            for _ in range(rng.randint(1, 4))])
+        if rng.random() < 0.4:
+            t = random_reduced(rng, letters, 1, 5)
+            u = fg.reduced_product(fg.reduced_product(fg.inverse(t), u), t)
+        words.append(u)
+    return [u for u in dict.fromkeys(words) if u]
+
+
+def element_words(elements):
+    return [cq.to_group_word(e).letters for e in elements]
+
+
+class TestFoldAgainstReference:
+    """The fold that reads each word's known prefix and suffix against the
+    one-vertex-per-letter fold: the rank of a subgroup does not depend on
+    how its graph is folded."""
+
+    def test_shared_base_sets(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            words = shared_base_set(rng)
+            if words:
+                assert ind._folded_rank(words) == reference_folded_rank(words), words
+
+    @pytest.mark.parametrize("texts, rank", [
+        (("x x", "x x x", "x x y"), 2),  # merges put the base under another root
+        (("x y x^-1",), 1),  # a stem
+        (("x", "y", "x y"), 2),  # x y reads back to the base
+        (("x x", "x"), 1),  # x reads to a vertex other than the base
+    ])
+    def test_pinned(self, texts, rank):
+        words = [w(t).letters for t in texts]
+        assert ind._folded_rank(words) == reference_folded_rank(words) == rank
+
+    def test_wide_set(self):
+        words = element_words(wide_elements())
+        assert ind._folded_rank(words) == reference_folded_rank(words) == 972
+
+
+class TestFoldWork:
+    """Element words t^-1 x t of a set share their stems: folding them
+    creates at most the total tail length plus one (the base) vertices,
+    where one vertex per letter creates twice the total tail length."""
+
+    def test_element_sets(self):
+        rng = random.Random(15)
+        sets = [wide_elements()]
+        for _ in range(300):
+            sets.append(list(dict.fromkeys(
+                cq.random_element(XYZ, 10, rng) for _ in range(rng.randint(1, 30)))))
+        for elements in sets:
+            graph = ind._fold(element_words(elements))
+            assert len(graph.parent) <= sum(len(e.tail) for e in elements) + 1
+
+    def test_long_conjugates(self):
+        t = (2, 3) * 10000 + (2,)  # (y z)^10000 y
+        elements = [cq.QuandleElement(a, fg.Word(XYZ, t)) for a in (0, 2)]
+        graph = ind._fold(element_words(elements))
+        assert len(graph.parent) == len(t) + 1
+        assert graph.rank() == 2
 
 
 class TestCrossOracle:
