@@ -43,7 +43,7 @@ def _emit(records, fmt: str) -> int:
 
 
 def _read_problem(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return sq.parse_problem(fh.read())
 
 
@@ -125,9 +125,8 @@ def cmd_check_independence(args):
     items = _read_independence_input(args.file)
     raw = next((text for text, elem, _ in items if elem is None), None)
     if raw is not None and args.method == "hall":
-        print(f"error: {raw!r} is not a free-quandle element; "
-              "the hall method needs elements", file=sys.stderr)
-        return 2
+        raise ValueError(f"{raw!r} is not a free-quandle element; "
+                         "the hall method needs elements")
     if raw is not None and args.method == "both":
         print(f"note: {raw!r} is not a free-quandle element; "
               "hall skipped, nielsen only", file=sys.stderr)
@@ -144,7 +143,7 @@ def _read_independence_input(path: str):
     """Each line is an element (element grammar) or a raw group word; a
     line holding ``^(`` is an element.  A word that reduces to the identity
     is rejected here, before any command output."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         alphabet, lines = sq.parse_header(fh.read())
     items = []
     for ln in lines:
@@ -198,43 +197,35 @@ def cmd_express(args):
     return 0
 
 
-# subcommand -> the shared parent parser it names, in the order -h lists them
+# subcommand -> the shared options it takes besides --format, in the order
+# -h lists the subcommands
 _COMMANDS = {"reduce": "alphabet", "qop": "alphabet", "closure": "problem",
-             "basis": "problem", "check-independence": "fmt",
+             "basis": "problem", "check-independence": None,
              "verify-axioms": "alphabet", "express": "problem"}
 
 
-def _parent_parsers(kinds) -> dict:
-    """The shared parent parsers named in ``kinds``, and ``fmt``, which the
-    other two include."""
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "machine"), default="text")
-    parents = {"fmt": fmt}
-    if "alphabet" in kinds:
-        alphabet = parents["alphabet"] = argparse.ArgumentParser(
-            add_help=False, parents=[fmt])
-        alphabet.add_argument("--alphabet", required=True)
-    if "problem" in kinds:
-        problem = parents["problem"] = argparse.ArgumentParser(
-            add_help=False, parents=[fmt])
-        problem.add_argument("file", help="problem file (alphabet: header, "
-                             "one element per line)")
-        problem.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
-                             metavar="L")
-        problem.add_argument("--max-elements", type=int, metavar="N",
-                             help="element budget of every closure the "
-                                  "command builds; exceeding it is an input "
-                                  "error (exit 2)")
-    return parents
+def _shared_options(p: argparse.ArgumentParser, kind) -> None:
+    """Add ``--format`` to ``p``, then ``--alphabet`` or the problem options
+    that ``kind`` names."""
+    p.add_argument("--format", choices=("text", "machine"), default="text")
+    if kind == "alphabet":
+        p.add_argument("--alphabet", required=True)
+    elif kind == "problem":
+        p.add_argument("file", help="problem file (alphabet: header, "
+                       "one element per line)")
+        p.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
+                       metavar="L")
+        p.add_argument("--max-elements", type=int, metavar="N",
+                       help="element budget of every closure the command "
+                            "builds; exceeding it is an input error (exit 2)")
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The CLI's argument parser, with every subcommand.
 
-    Given a subcommand's name, the root holds that subcommand alone, and
-    only the parent parsers it uses are built (3 or 4 parsers, not 11): an
-    argv that starts with the name parses, or fails, exactly as under the
-    full parser.
+    Given a subcommand's name, the root holds that subcommand alone (2
+    parsers, not 8): an argv that starts with the name parses, or fails,
+    exactly as under the full parser.
     """
     names = [command] if command in _COMMANDS else list(_COMMANDS)
     parser = argparse.ArgumentParser(
@@ -245,12 +236,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
-    parents = _parent_parsers({_COMMANDS[name] for name in names})
 
     def add(name, func, help):
         if name in names:
-            p = sub.add_parser(name, parents=[parents[_COMMANDS[name]]],
-                               help=help)
+            p = sub.add_parser(name, help=help)
+            _shared_options(p, _COMMANDS[name])
             p.set_defaults(func=func)
             return p
 

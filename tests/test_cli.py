@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import random
 
 import pytest
@@ -83,6 +84,14 @@ class TestClosure:
         code, out, err = run(capsys, "closure", str(path))
         assert (code, out) == (2, "")
         assert err == "error: reserved characters in generator name '#a'\n"
+
+    def test_byte_order_mark(self, capsys, tmp_path, problem_file):
+        # a file saved with a UTF-8 byte-order mark reads as one without
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeff" + PROBLEM, encoding="utf-8")
+        plain = run(capsys, "closure", problem_file, "--max-tail-len", "2")
+        assert plain[0] == 0
+        assert run(capsys, "closure", str(path), "--max-tail-len", "2") == plain
 
 
 class TestElementBudget:
@@ -211,6 +220,13 @@ class TestCheckIndependence:
         code, _, err = run(capsys, "check-independence", str(path),
                            "--method", "hall")
         assert code == 2 and "element" in err
+
+    def test_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "elems.txt"
+        path.write_text("\ufeffalphabet: x y\nx^(y)\nx y\n", encoding="utf-8")
+        code, out, _ = run(capsys, "check-independence", str(path),
+                           "--method", "nielsen")
+        assert code == 0 and "PASS" in out
 
     @pytest.mark.parametrize("method", ["both", "nielsen"])
     @pytest.mark.parametrize("line", ["1", "x x^-1"])
@@ -373,6 +389,30 @@ SUBCOMMAND_ARGVS = [
 ]
 
 
+USAGE_ARGVS = ROOT_ARGVS + [
+    argv
+    for name in VALID
+    for argv in ([name, "-h"], [name], [name, "--bogus"],
+                 [name, "--format", "xml"])
+]
+# exit code, stdout and stderr of main on USAGE_ARGVS at COLUMNS=80, as
+# Python 3.11's argparse lays them out
+USAGE_DIGEST = "8f5cbf3e94cd885ae608157d8e0dd4eee6398753505a65f7b052f6271d4b4a0f"
+
+
+def test_usage_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in USAGE_ARGVS:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
+    assert digest.hexdigest() == USAGE_DIGEST
+
+
 class _Parsed(Exception):
     pass
 
@@ -416,8 +456,8 @@ class TestParserSelection:
         assert result == ("exit", 2) and message in err
 
     @pytest.mark.parametrize("argv, parsers", [
-        (["check-independence"], 3),  # the root, fmt and the subcommand
-        (["basis", "--max-tail-len", "2"], 4),  # and problem
+        (["check-independence"], 2),  # the root and the subcommand
+        (["basis", "--max-tail-len", "2"], 2),
     ], ids=["check-independence", "basis"])
     def test_parsers_built_per_call(self, capsys, monkeypatch, problem_file,
                                     argv, parsers):
