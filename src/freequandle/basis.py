@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj_quandle import QuandleElement, act, shrinkers
-from .independence import (
-    IndependenceReport,
-    check_significant_factors,
-    nielsen_independent_elements,
-)
+from .conj_quandle import QuandleElement, act, shrinkers, to_group_word
+from .independence import IndependenceReport, check_significant_factors, nielsen_independent
 from .free_group import Word
 from .subquandle import ClosureSet, QuandleTerm, closure, express
 
@@ -96,7 +92,7 @@ def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
         method=method,
         witnesses={g: express(sub, g) if g in sub else None for g in c.generators},
         hall_verdict=check_significant_factors(candidate),
-        nielsen_verdict=nielsen_independent_elements(candidate),
+        nielsen_verdict=nielsen_independent(map(to_group_word, candidate)),
         **extra,
     )
 
@@ -114,6 +110,22 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     significant-factor check fail: it fails exactly when one element of the
     set shortens another (:func:`conj_quandle.shrinkers`), and no candidate
     element does, so it too stays as a guard.
+
+    Nor can the stability check say no (F4).  Let C be the candidate, with
+    both guards passed, and L' >= L; then ``closure(S, L')`` is
+    ``Q(S) ∩ ball(L')`` and its tail filter is C.  No product of two
+    C-words ``t^-1 x t`` (or inverses) cancels past a central letter, so
+    every central letter survives in every reduced product of them: C is
+    Nielsen reduced, hence a free basis of ``<C>`` (Lyndon–Schupp I.2), and
+    a reduced product is longer than each of its reduced subproducts.  As
+    C lies in ``closure(S, L)`` and regenerates S, ``Q(C) = Q(S)``, whose
+    members are the ``c^V`` with V reduced over the C-words and not
+    starting with c's word or its inverse.  If V is nonempty, acting by
+    its last factor's element removes that factor and shortens the tail;
+    and no element of ``Q(C)`` shortens an element of C.  Since
+    ``C ⊆ closure(S, L) ⊆ closure(S, L')``, induction on tail length puts
+    every member within L' in ``closure(S, L')``, and the filter there
+    keeps exactly C.  So ``stable`` is yes at every bound the CLI accepts.
 
     The closures built here (at L + 2 for the stability check, and the
     witness re-closure) inherit c's element budget.
@@ -138,8 +150,11 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
     closure, eps -1 before +1), replacing the target, re-deduping and
     re-closing.  Total tail length strictly decreases, so the loop
     terminates.  The witnesses come from the last working closure, the
-    full bounded closure of the candidate.  Each working closure inherits
-    c's bound and element budget.
+    full bounded closure of the candidate.  No candidate element shortens
+    another, so by F4's argument (:func:`compute_S`) that closure is all the
+    candidate's subquandle within L: a missing witness is not generated
+    by the candidate at any bound.  Each working closure inherits c's
+    bound and element budget.
     """
     working = list(c.generators)
     wc = c

@@ -74,7 +74,7 @@ def _basis_records(report: basis_mod.BasisReport):
     for g, term in report.witnesses.items():
         g, term = str(g), term and str(term)
         yield ("witness", {"generator": g, "term": term or "MISSING"},
-               f"  {g} = {term or 'MISSING (bound too small?)'}")
+               f"  {g} = {term or 'MISSING (not generated by the candidate)'}")
     yield from map(_verdict_record, (report.hall_verdict, report.nielsen_verdict))
     if report.stable is not None:
         yield ("stability", {"stable": report.stable},

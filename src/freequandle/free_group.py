@@ -90,7 +90,7 @@ def reduced_product(u: tuple[int, ...], raw) -> tuple[int, ...]:
 
 def inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
     """The group inverse: reversed letters with flipped signs."""
-    return tuple(-lt for lt in reversed(letters))
+    return tuple([-lt for lt in reversed(letters)])  # a list builds faster than a generator
 
 
 def conjugate_word(generator: int, tail: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .conj_quandle import shrink_index, shrinkers, to_group_word
 from .errors import EmptyInputWord
-from .free_group import cancellation_depth
+from .free_group import cancellation_depth, inverse
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class _Folding:
         parent, out = self.parent, self.out
         base = self.find(0)
         p, i = self.read(base, w)
-        q, k = self.read(base, [-lt for lt in reversed(w[i:])])
+        q, k = self.read(base, inverse(w[i:]))
         j = len(w) - k
         if i == j:
             if p != q:
@@ -156,23 +156,16 @@ class _Folding:
 
 
 def _fold(words) -> _Folding:
-    """The folded Stallings graph of the subgroup ``<words>`` of reduced words."""
+    """The folded Stallings graph of the subgroup ``<words>`` of reduced words.
+
+    Each word becomes a loop at the base, folded as it is added
+    (:meth:`_Folding.add`), so ``t^-1 x t`` adds ``|t|`` vertices, not
+    ``2|t|``.
+    """
     graph = _Folding()
     for w in words:
         graph.add(w)
     return graph
-
-
-def _folded_rank(words) -> int:
-    """Rank ``E - V + 1`` of the Stallings graph of the subgroup ``<words>``.
-
-    Each reduced word becomes a loop at the base, folded as it is added
-    (:meth:`_Folding.add`): its known prefix and suffix are read from the
-    base's root, the ends of an unread middle ``a ... a^-1`` share stem
-    vertices, and vertices are merged only when a word closes without a
-    middle.  ``t^-1 x t`` thus adds ``|t|`` vertices, not ``2|t|``.
-    """
-    return _fold(words).rank()
 
 
 def nielsen_independent(words) -> IndependenceReport:
@@ -190,12 +183,8 @@ def nielsen_independent(words) -> IndependenceReport:
         if w.is_identity():
             raise EmptyInputWord("the identity word is not allowed as input")
     distinct = list(dict.fromkeys(w.letters for w in words))
-    rank = _folded_rank(distinct)
+    rank = _fold(distinct).rank()
     return IndependenceReport(
         "nielsen", rank == len(distinct),
         detail=f"{len(distinct)} distinct words generate a subgroup of rank {rank}")
 
-
-def nielsen_independent_elements(elements) -> IndependenceReport:
-    """Run the exact independence check on the group words of quandle elements."""
-    return nielsen_independent([to_group_word(e) for e in elements])

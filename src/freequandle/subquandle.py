@@ -40,14 +40,6 @@ class QuandleTerm:
     right: Optional["QuandleTerm"] = None
     leaf: Optional[int] = None
 
-    @classmethod
-    def leaf_of(cls, index: int) -> "QuandleTerm":
-        return cls(leaf=index)
-
-    @classmethod
-    def node(cls, left: "QuandleTerm", right: "QuandleTerm", eps: int) -> "QuandleTerm":
-        return cls(eps=eps, left=left, right=right)
-
     def is_leaf(self) -> bool:
         return self.leaf is not None
 
@@ -309,10 +301,10 @@ def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
         if elt in memo:
             return memo[elt]
         if elt in gen_index:
-            term = QuandleTerm.leaf_of(gen_index[elt])
+            term = QuandleTerm(leaf=gen_index[elt])
         elif elt in c.derivations:
             a, q, eps = c.derivations[elt]
-            term = QuandleTerm.node(build(a), build(q), eps)
+            term = QuandleTerm(eps, build(a), build(q))
         else:
             raise NotInClosure(f"{elt} is not in the closure")
         memo[elt] = term

@@ -97,7 +97,7 @@ def test_criterion_5_fixed_worked_examples():
     basis2 = set(bs.compute_S(c2).candidate)
 
     hall = ind.check_significant_factors(els("x^(y)", "y"))
-    nielsen = ind.nielsen_independent_elements(els("x^(y)", "y"))
+    nielsen = ind.nielsen_independent(map(cq.to_group_word, els("x^(y)", "y")))
 
     ok = (basis1_paper == set(els("x", "y"))
           and basis1_greedy == set(els("x", "y"))

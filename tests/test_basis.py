@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -22,6 +23,20 @@ def els(*texts):
 
 def w(text):
     return fg.parse_word(XY, text)
+
+
+def scrambled_problems(rng, count):
+    """Generating sets on 2-3 letters: 2-3 random elements with tails <= 3,
+    then 0-3 moves g_i <- act(g_i, g_j, +-1), deduped."""
+    out = []
+    for _ in range(count):
+        alphabet = Alphabet(("x", "y", "z")[:rng.randint(2, 3)])
+        gens = [cq.random_element(alphabet, 3, rng) for _ in range(rng.randint(2, 3))]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(len(gens)), 2)
+            gens[i] = cq.act(gens[i], gens[j], rng.choice((1, -1)))
+        out.append(list(dict.fromkeys(gens)))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +174,39 @@ class TestComputeS:
         assert set(report.candidate) == set(els("x^(y)", "x^(y^-1)"))
         assert report.certified
 
-    def test_stability_flag(self, small_closure):
-        report = bs.compute_S(small_closure, check_stability=True)
-        assert report.stable is True
+    def test_stability_flag(self, monkeypatch, small_closure, corpus, baseline_closures):
+        # F4 (see compute_S): at every accepted L the L+2 closure cut to
+        # tails <= L is the closure at L, so the check always says yes; a
+        # problem is skipped when its L+2 closure passes 3,000 elements
+        problems = [(small_closure.generators, 2)]
+        problems += [(gens, bound) for bound in (4, 6, 8) for _, _, gens in corpus]
+        problems += [(c.generators, c.bound) for c in baseline_closures if len(c) <= 3000]
+        problems += [(gens, max(len(g.tail) for g in gens))
+                     for gens in scrambled_problems(random.Random(16), 150)]
+        built = []  # the closures compute_S builds, the L+2 one first
+        real = sq.closure
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(bs, "closure", recording)
+        checked = 0
+        for gens, bound in problems:
+            built.clear()
+            try:
+                c = sq.closure(gens, bound, max_elements=3000)
+                report = bs.compute_S(c, check_stability=True)
+            except ClosureTooLarge:
+                continue
+            bigger = built[0]
+            assert bigger.bound == bound + 2
+            assert report.stable is True, (gens, bound)
+            assert report.stable == (report.hall_verdict.passed
+                                     and not report.missing_witnesses)
+            assert {e for e in bigger.elements if len(e.tail) <= bound} == set(c.elements)
+            checked += 1
+        assert checked >= 400
 
     def test_budget_applies_to_witness_closure(self, small_closure):
         report = bs.compute_S(small_closure)

@@ -159,6 +159,25 @@ class TestBasis:
         assert "kind=candidate\telement=x^(y)" in out
         assert "kind=certified\tvalue=yes" in out
 
+    @pytest.mark.parametrize("bound", ["3", "7"])
+    def test_greedy_missing_witness(self, capsys, tmp_path, bound):
+        # greedy shortens x^(y^-1 y^-1) by y, which only that generator
+        # derives: the candidate generates a smaller subquandle at every L,
+        # while the paper method certifies {x, y} at L = 3
+        path = tmp_path / "scrambled.txt"
+        path.write_text("alphabet: x y\nx^(y^-1 y^-1)\ny^(x y^-1 y^-1)\n")
+        argv = ["basis", str(path), "--method", "greedy", "--max-tail-len", bound]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert ("witnesses:\n"
+                "  x^(y^-1 y^-1) = MISSING (not generated by the candidate)\n"
+                "  y^(x y^-1 y^-1) = g1\n") in out
+        code, out, _ = run(capsys, *argv, "--format", "machine")
+        assert code == 1
+        assert ("kind=witness\tgenerator=x^(y^-1 y^-1)\tterm=MISSING\n"
+                "kind=witness\tgenerator=y^(x y^-1 y^-1)\tterm=g1\n") in out
+        assert "kind=certified\tvalue=no" in out
+
 
 class TestCheckIndependence:
     def test_hall_failure_names_pair(self, capsys, tmp_path):

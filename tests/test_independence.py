@@ -412,7 +412,7 @@ class TestFoldAgainstReference:
         for _ in range(2000):
             words = shared_base_set(rng)
             if words:
-                assert ind._folded_rank(words) == reference_folded_rank(words), words
+                assert ind._fold(words).rank() == reference_folded_rank(words), words
 
     @pytest.mark.parametrize("texts, rank", [
         (("x x", "x x x", "x x y"), 2),  # merges put the base under another root
@@ -422,11 +422,11 @@ class TestFoldAgainstReference:
     ])
     def test_pinned(self, texts, rank):
         words = [w(t).letters for t in texts]
-        assert ind._folded_rank(words) == reference_folded_rank(words) == rank
+        assert ind._fold(words).rank() == reference_folded_rank(words) == rank
 
     def test_wide_set(self):
         words = element_words(wide_elements())
-        assert ind._folded_rank(words) == reference_folded_rank(words) == 972
+        assert ind._fold(words).rank() == reference_folded_rank(words) == 972
 
 
 class TestFoldWork:
@@ -459,9 +459,9 @@ class TestCrossOracle:
             elements = list(dict.fromkeys(
                 cq.random_element(XY, 3, rng) for _ in range(rng.randint(1, 4))))
             if ind.check_significant_factors(elements).passed:
-                assert ind.nielsen_independent_elements(elements).passed
+                assert ind.nielsen_independent(map(cq.to_group_word, elements)).passed
 
     def test_converse_fails_on_known_asymmetry(self):
         elements = els("x^(y)", "y")
         assert not ind.check_significant_factors(elements).passed
-        assert ind.nielsen_independent_elements(elements).passed
+        assert ind.nielsen_independent(map(cq.to_group_word, elements)).passed

@@ -7,6 +7,8 @@ justified in CHANGES.md.
 """
 
 import hashlib
+import shlex
+from pathlib import Path
 
 from freequandle import cli
 from freequandle import subquandle as sq
@@ -16,6 +18,9 @@ TEXT_OUTPUT_DIGEST = "8e96756ec0c850c15bd6fbb8e589b81cf6c34d6147c5689c5d1003d64c
 # `closure --format machine` of the README example {x^(y), y} at L=8
 # (13,122 elements), as the exhaustive pair loop printed it
 README_CLOSURE_DIGEST = "4f7724de6cbebbb3587a9268ac4856283ff194bdb5335a6805b448f86a97e68c"
+# exit code, stdout and stderr of each command in README's CLI example
+README_CLI_DIGEST = "470d75c7168b26bce4e2fb8532d960df4851b8a8552dd11e81563c86a70cf795"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _corpus_commands(tmp_path, corpus):
@@ -60,3 +65,28 @@ def test_readme_closure_digest(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_CLOSURE_DIGEST
+
+
+def _readme_cli_example():
+    """The problem file and the argvs of the example under README's CLI
+    heading: a ``cat > problem.txt <<EOF`` here-document, then one
+    ``freequandle ...`` command per line."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    head, problem, rest = block.split("EOF\n")
+    assert head == "cat > problem.txt <<"
+    return problem, [shlex.split(ln)[1:] for ln in rest.splitlines()
+                     if ln.startswith("freequandle ")]
+
+
+def test_readme_cli_digest(capsys, monkeypatch, tmp_path):
+    problem, commands = _readme_cli_example()
+    (tmp_path / "problem.txt").write_text(problem, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv in commands:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
+    assert len(commands) == 9
+    assert digest.hexdigest() == README_CLI_DIGEST
