@@ -22,7 +22,7 @@ from typing import Optional
 
 from .conj_quandle import shrink_index, shrinkers, to_group_word
 from .errors import EmptyInputWord
-from .free_group import cancellation_depth, inverse
+from .free_group import cancellation_depth
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,14 @@ class _Folding:
         subgroup iff reading it from the base's root reads every letter and
         ends there."""
         out, parent = self.out, self.parent
-        for k, lt in enumerate(letters):
+        k = 0
+        for lt in letters:
             t = out[v].get(lt)
             if t is None:
-                return v, k
+                break
             v = t if parent[t] == t else self.find(t)
-        return v, len(letters)
+            k += 1
+        return v, k
 
     def add(self, w: tuple[int, ...]) -> None:
         """Add the reduced word w as a loop at the base, keeping the graph
@@ -113,7 +115,7 @@ class _Folding:
         parent, out = self.parent, self.out
         base = self.find(0)
         p, i = self.read(base, w)
-        q, k = self.read(base, inverse(w[i:]))
+        q, k = self.read(base, (-lt for lt in reversed(w[i:])))
         j = len(w) - k
         if i == j:
             if p != q:
@@ -135,18 +137,14 @@ class _Folding:
         """Identify p with q, then fold the duplicate edges that makes."""
         out, parent, find = self.out, self.parent, self.find
         pending = [(p, q)]
-
-        def attach(u: int, lt: int, v: int) -> None:
-            kept = out[u].setdefault(lt, v)
-            if kept != v:
-                pending.append((kept, v))
-
         while pending:
             a, b = (find(v) for v in pending.pop())
             if a != b:
                 parent[b] = a
                 for lt, t in out[b].items():
-                    attach(a, lt, t)
+                    kept = out[a].setdefault(lt, t)
+                    if kept != t:
+                        pending.append((kept, t))
                 out[b] = {}
 
     def rank(self) -> int:

@@ -40,9 +40,6 @@ class QuandleTerm:
     right: Optional["QuandleTerm"] = None
     leaf: Optional[int] = None
 
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
     def evaluate(self, generators) -> QuandleElement:
         if self.leaf is not None:
             return generators[self.leaf]
@@ -294,21 +291,15 @@ def contains(c: ClosureSet, e: QuandleElement) -> bool:
 
 def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
     """A term over c.generators evaluating to e, replayed before returning."""
-    gen_index = {g: i for i, g in enumerate(c.generators)}
-    memo: dict[QuandleElement, QuandleTerm] = {}
+    memo = {g: QuandleTerm(leaf=i) for i, g in enumerate(c.generators)}
 
     def build(elt: QuandleElement) -> QuandleTerm:
-        if elt in memo:
-            return memo[elt]
-        if elt in gen_index:
-            term = QuandleTerm(leaf=gen_index[elt])
-        elif elt in c.derivations:
+        if elt not in memo:
+            if elt not in c.derivations:
+                raise NotInClosure(f"{elt} is not in the closure")
             a, q, eps = c.derivations[elt]
-            term = QuandleTerm(eps, build(a), build(q))
-        else:
-            raise NotInClosure(f"{elt} is not in the closure")
-        memo[elt] = term
-        return term
+            memo[elt] = QuandleTerm(eps, build(a), build(q))
+        return memo[elt]
 
     term = build(e)
     if term.evaluate(c.generators) != e:

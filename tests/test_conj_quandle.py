@@ -122,6 +122,46 @@ class TestElementGrammar:
         assert cq.parse_element(XY, cq.format_element(e)) == e
 
 
+def _reference_report(alphabet, sample_count, max_tail_len, seed):
+    """The sampling loop of ``verify_axioms`` with one hand-written check
+    per law, kept as the reference for its ``checked`` and ``failures``.
+    It calls ``cq.act`` at run time, so a patched ``act`` is used here too."""
+    act = cq.act
+    rng = random.Random(seed)
+    failures = []
+
+    def record(law, ok, *elts):
+        if not ok:
+            failures.append(cq.AxiomFailure(law, elts))
+
+    for _ in range(sample_count):
+        a = cq.random_element(alphabet, max_tail_len, rng)
+        b = cq.random_element(alphabet, max_tail_len, rng)
+        c = cq.random_element(alphabet, max_tail_len, rng)
+        record("idempotence_right", act(a, a, RIGHT) == a, a)
+        record("idempotence_left", act(a, a, LEFT) == a, a)
+        record("inverse_right_then_left", act(act(a, b, RIGHT), b, LEFT) == a, a, b)
+        record("inverse_left_then_right", act(act(a, b, LEFT), b, RIGHT) == a, a, b)
+        for law, eps in (("self_distributivity_right", RIGHT),
+                         ("self_distributivity_left", LEFT)):
+            lhs = act(act(a, b, eps), c, eps)
+            rhs = act(act(a, c, eps), act(b, c, eps), eps)
+            record(law, lhs == rhs, a, b, c)
+    laws = ("idempotence_right", "idempotence_left", "inverse_right_then_left",
+            "inverse_left_then_right", "self_distributivity_right",
+            "self_distributivity_left")
+    return list(dict.fromkeys(laws, sample_count).items()), tuple(failures)
+
+
+_act = cq.act
+# wrong actions, each breaking some of the laws
+_WRONG_ACTS = {
+    "ignores_eps": lambda a, q, eps=RIGHT: _act(a, q, RIGHT),
+    "always_by_y": lambda a, q, eps=RIGHT: _act(a, el("y"), eps),
+    "identity_on_long_q": lambda a, q, eps=RIGHT: a if len(q.tail) >= 2 else _act(a, q, eps),
+}
+
+
 class TestVerifyAxioms:
     def test_one_generator(self):
         report = cq.verify_axioms(Alphabet(("x",)), 50, seed=3)
@@ -131,6 +171,16 @@ class TestVerifyAxioms:
         report = cq.verify_axioms(XY, 200, max_tail_len=4, seed=1)
         assert report.passed
         assert all(n == 200 for n in report.checked.values())
+
+    def test_failures_match_reference(self, monkeypatch):
+        laws = set()
+        for wrong in _WRONG_ACTS.values():
+            monkeypatch.setattr(cq, "act", wrong)
+            report = cq.verify_axioms(XY, 40, max_tail_len=3, seed=2)
+            checked, failures = _reference_report(XY, 40, 3, 2)
+            assert (list(report.checked.items()), report.failures) == (checked, failures)
+            laws |= {f.law for f in report.failures}
+        assert laws == set(report.checked)
 
     def test_idempotence_instance(self):
         a = el("x^(y x)")

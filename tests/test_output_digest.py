@@ -90,3 +90,10 @@ def test_readme_cli_digest(capsys, monkeypatch, tmp_path):
         digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
     assert len(commands) == 9
     assert digest.hexdigest() == README_CLI_DIGEST
+
+
+def test_readme_library_example(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out == "['x', 'y'] True\n"

@@ -272,12 +272,12 @@ class TestExpress:
     def test_generator_is_leaf(self):
         c = sq.closure(els("x^(y)", "y"), 2)
         term = sq.express(c, el("x^(y)"))
-        assert term.is_leaf() and term.leaf == 0
+        assert term.leaf == 0
 
     def test_single_step(self):
         c = sq.closure(els("x^(y)", "y"), 2)
         term = sq.express(c, el("x"))
-        assert not term.is_leaf()
+        assert term.leaf is None
         assert (term.left.leaf, term.right.leaf, term.eps) == (0, 1, -1)
 
     def test_single_step_other_direction(self):
