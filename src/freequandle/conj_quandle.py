@@ -50,7 +50,10 @@ def canonical_tail(axis: int, letters: tuple[int, ...]) -> tuple[int, ...]:
 
 def canonicalize(axis: int, tail: Word) -> QuandleElement:
     """The canonical element ``axis^tail``; see :func:`canonical_tail`."""
-    return QuandleElement(axis, Word(tail.alphabet, canonical_tail(axis, tail.letters)))
+    letters = canonical_tail(axis, tail.letters)
+    if len(letters) < len(tail.letters):
+        tail = Word(tail.alphabet, letters)
+    return QuandleElement(axis, tail)
 
 
 def to_group_word(e: QuandleElement) -> Word:

@@ -9,9 +9,11 @@ build and read letters with :func:`letter` and :func:`letter_generator`,
 and work on reduced letter tuples through :func:`reduced_product`,
 :func:`inverse`, :func:`conjugate_word` and :func:`cancellation_depth`.
 ``subquandle.closure`` inlines its depth scan, because a call per pair
-trial (22,032 for ``{x^(y), y}`` at L = 6) would dominate its running
-time; it materializes the trials that pass through
-``conj_quandle.canonical_tail``.
+trial (16,848 for ``{x^(y), y}`` at L = 6) would dominate its running
+time.  It materializes only the trials that can land within the bound,
+and only those that cancel the whole tail pass through
+``conj_quandle.canonical_tail``: a product that keeps the tail's first
+letter is already canonical.
 """
 
 from __future__ import annotations

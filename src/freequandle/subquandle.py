@@ -156,6 +156,52 @@ def _candidates(root, axis: int, tail: tuple[int, ...], bound: int) -> list[int]
     return out
 
 
+def _acted_on_near_bound(root, axis: int, u: tuple[int, ...], bound: int,
+                         prev: int) -> list[int]:
+    """Indices below ``prev`` of the trie's elements, with a tail of length
+    ``bound - 1`` or ``bound``, that ``axis^u`` may act on within ``bound``,
+    unordered; see :func:`_new_elements`.
+
+    They are the tails of length ``bound`` that end in ``axis^±1 u`` and the
+    tails of length ``bound - 1`` that end in ``u``.
+    """
+    k = bound - 1 - len(u)  # both groups sit at this by_len index
+    if k < 0:
+        return []
+    node = root
+    for lt in reversed(u):
+        node = node[0].get(lt)
+        if node is None:
+            return []
+    x = axis + 1
+    out: list[int] = []
+    for group_node in (node, node[0].get(x), node[0].get(-x)):
+        if group_node is not None and len(group_node[1]) > k:
+            for i in group_node[1][k]:  # in index order: the old ones come first
+                if i >= prev:
+                    break
+                out.append(i)
+    return out
+
+
+def _shrinking(root, elements: list[RawElement], tail: tuple[int, ...]) -> list[int]:
+    """Indices of the trie's elements ``a^u`` with u a proper suffix of
+    ``tail`` and a the generator of the letter before u, unordered: the
+    elements that may act on ``x^tail`` with ``|tail| = L`` within L, other
+    than those that give ``x^tail`` back; see :func:`_new_elements`.
+    """
+    out: list[int] = []
+    node = root
+    for d in range(len(tail) - 1, -1, -1):  # node holds the suffix tail[d + 1:]
+        children, by_len = node
+        a = abs(tail[d]) - 1
+        out += [j for j in by_len[0] if elements[j][0] == a]
+        node = children.get(tail[d])
+        if node is None:
+            break
+    return out
+
+
 def _new_elements(elements: list[RawElement], bound: int):
     """Semi-naive fixed point of act(a, q, ±1) over ``elements``, in place.
 
@@ -186,6 +232,19 @@ def _new_elements(elements: list[RawElement], bound: int):
     the same exact test as an exhaustive loop, it finds the same elements,
     with the same derivations, in the same order.  The trie is built per
     call and extended only between rounds.
+
+    Near the bound fewer elements qualify.  At ``|tail| = L`` only a shrink
+    stays within L, so :func:`_shrinking` takes the ``a^t`` with ``t`` a
+    proper suffix of ``tail`` and ``a`` the generator of the letter before
+    it: a suffix hit with the wrong axis or sign has L + 1 letters, every
+    other product more, and ``t = tail`` gives ``elements[i]`` itself or
+    L + 1 letters.  At ``|tail| = L - 1`` only the elements whose tail is a
+    suffix of ``tail`` qualify: ``reach`` is 0, so no sibling candidate
+    exists, and a run letter (k >= 1) leaves L + k letters, so no run
+    candidate exists.  An old near-bound i pairs only with new j, so each
+    new ``a^u`` with ``|u| < L`` looks up the old elements it acts on
+    (:func:`_acted_on_near_bound`), and an old near-bound i that none
+    acts on is skipped without a walk.
     """
     seen = set(elements)
     acting = [_acting_words(e) for e in elements]
@@ -195,13 +254,27 @@ def _new_elements(elements: list[RawElement], bound: int):
         prev, done = done, len(elements)
         for j in range(prev, done):
             _trie_insert(trie, elements[j][1], j)
+        near: dict[int, list[int]] = {}  # old near-bound i -> its new j, ascending
+        for j in range(prev, done):
+            a, u = elements[j]
+            for i in _acted_on_near_bound(trie, a, u, bound, prev):
+                near.setdefault(i, []).append(j)
         for i in range(done):
             axis, tail = elements[i]
             la = len(tail)
-            candidates = _candidates(trie, axis, tail, bound)
-            if i < prev:
-                candidates = [j for j in candidates if j >= prev]
-            candidates.sort()
+            if i < prev and la >= bound - 1:
+                candidates = near.get(i)
+                if candidates is None:
+                    continue
+            elif la == bound:  # a new element at the bound
+                candidates = sorted(_shrinking(trie, elements, tail))
+            else:
+                candidates = _candidates(trie, axis, tail, bound)
+                if i < prev:
+                    candidates = [j for j in candidates if j >= prev]
+                candidates.sort()
+            # a product that keeps a first letter other than x^±1 is canonical
+            canonical_if_kept = la > 0 and abs(tail[0]) != axis + 1
             for j in candidates:
                 for gw, eps in acting[j]:
                     lg = len(gw)
@@ -212,8 +285,13 @@ def _new_elements(elements: list[RawElement], bound: int):
                     # a surviving first tail letter leaves nothing to strip
                     if c < la and la + lg - 2 * c > bound:
                         continue
-                    res = (axis, cq.canonical_tail(axis, tail[:la - c] + gw[c:]))
-                    if len(res[1]) > bound or res in seen:
+                    product = tail[:la - c] + gw[c:]
+                    if c == la or not canonical_if_kept:
+                        product = cq.canonical_tail(axis, product)
+                        if len(product) > bound:
+                            continue
+                    res = (axis, product)
+                    if res in seen:
                         continue
                     seen.add(res)
                     elements.append(res)

@@ -35,6 +35,11 @@ class TestCanonicalize:
     def test_repeated_stripping(self):
         assert cq.canonicalize(0, w("x^-1 x^-1 y x")) == el("x^(y x)")
 
+    def test_canonical_tail_kept(self):
+        # a tail with nothing to strip is used as given, not rebuilt
+        tail = w("y x")
+        assert cq.canonicalize(0, tail).tail is tail
+
     def test_same_conjugacy_action(self):
         # stripping does not change the group element being represented
         tail = w("x^-1 y x")

@@ -195,7 +195,9 @@ class TestIndexedLoop:
 class TestCandidates:
     def test_no_product_longer_than_bound(self, monkeypatch, corpus):
         # every product the closure materializes lands within the bound:
-        # _candidates bounds the walk below tail by the product's exact length
+        # _candidates bounds the walk below tail by the product's exact length.
+        # canonical_tail sees only the products that cancel the whole tail, so
+        # every element appended is also checked to be canonical and within L
         products = []
         canonical_tail = cq.canonical_tail
 
@@ -211,9 +213,14 @@ class TestCandidates:
         calls = 0
         for gens, bound in cases:
             products.clear()
-            sq.closure(gens, bound)
+            c = sq.closure(gens, bound)
             assert max(products, default=0) <= bound
             calls += len(products)
+            for e in c.elements[len(c.generators):]:
+                tail = e.tail.letters
+                assert len(tail) <= bound
+                assert fg.reduced_product((), tail) == tail
+                assert canonical_tail(e.axis, tail) == tail
         assert calls > 0  # the spy saw the closure's products
 
     def test_superset_of_pairs_within_bound(self, corpus_closures):
@@ -239,6 +246,48 @@ class TestCandidates:
                     for gw in pair:
                         res = cq.canonical_tail(axis, fg.reduced_product(tail, gw))
                         assert len(res) > bound or res == tail
+
+    def test_near_bound_lookups(self, corpus_closures, baseline_closures):
+        # on whole closures, every (i, j) with |tail_i| >= L - 1 and a product
+        # within the bound other than elements[i] itself is found from j, and
+        # at |tail_i| = L the shrink lookup returns exactly those j
+        closures = [c for _, c in corpus_closures]
+        closures += [c for c in baseline_closures if len(c) <= 2_000]
+        checked = 0
+        for c in closures:
+            elements = [(e.axis, e.tail.letters) for e in c.elements]
+            bound, n = c.bound, len(elements)
+            trie = [{}, []]
+            for j, (_, tail) in enumerate(elements):
+                sq._trie_insert(trie, tail, j)
+            found = [set() for _ in elements]
+            for j, (a, u) in enumerate(elements):
+                targets = sq._acted_on_near_bound(trie, a, u, bound, n)
+                assert sq._acted_on_near_bound(trie, a, u, bound, n // 2) == [
+                    i for i in targets if i < n // 2]
+                for i in targets:
+                    found[i].add(j)
+            words = [(gw, fg.inverse(gw)) for gw in
+                     (fg.conjugate_word(*e) for e in elements)]
+            for i, (axis, tail) in enumerate(elements):
+                if len(tail) < bound - 1:
+                    continue
+                within = set()
+                for j, pair in enumerate(words):
+                    for gw in pair:
+                        depth = fg.cancellation_depth(tail, gw)
+                        if depth < len(tail):  # tail[0] stays: nothing to strip
+                            if len(tail) + len(gw) - 2 * depth <= bound:
+                                within.add(j)
+                            continue
+                        res = cq.canonical_tail(axis, gw[depth:])
+                        if len(res) <= bound and res != tail:
+                            within.add(j)
+                assert within <= found[i]
+                if len(tail) == bound:
+                    assert sorted(sq._shrinking(trie, elements, tail)) == sorted(within)
+                checked += 1
+        assert checked > 0
 
 
 class TestBaselineSizes:
