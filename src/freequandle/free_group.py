@@ -10,10 +10,7 @@ and work on reduced letter tuples through :func:`reduced_product`,
 :func:`inverse`, :func:`conjugate_word` and :func:`cancellation_depth`.
 ``subquandle.closure`` inlines its depth scan, because a call per pair
 trial (16,848 for ``{x^(y), y}`` at L = 6) would dominate its running
-time.  It materializes only the trials that can land within the bound,
-and only those that cancel the whole tail pass through
-``conj_quandle.canonical_tail``: a product that keeps the tail's first
-letter is already canonical.
+time.
 """
 
 from __future__ import annotations

@@ -94,7 +94,9 @@ def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
     """File element j under its tail read backwards from the last letter.
 
     A node at depth d holds ``[children, by_len]``: ``by_len[k]`` lists, in
-    index order, the elements below it whose tail has length d + k.
+    index order, the elements below it whose tail has length d + k.  Every
+    node of a non-empty trie lies on a filed tail, so its ``by_len`` is
+    never empty.
     """
     node = root
     for k in range(len(tail), -1, -1):  # letters of tail still to read
@@ -109,15 +111,19 @@ def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
                 node = children[tail[k - 1]] = [{}, []]
 
 
-def _candidates(root, axis: int, tail: tuple[int, ...], bound: int) -> list[int]:
+def _candidates(root, elements: list[RawElement], axis: int, tail: tuple[int, ...],
+                bound: int) -> list[int]:
     """Indices of the trie's elements that may act on ``axis^tail`` within
-    ``bound``, unordered; see :func:`_new_elements`.
+    ``bound``, unordered; see :func:`_new_elements`.  ``tail`` must be filed.
 
     Below the node of ``tail`` it walks the runs ``x^k tail`` and
     ``x^-k tail`` of the axis letter x while ``|tail| + k + 1 <= bound``.
     At run depth k it takes ``t = x^k tail`` itself, and from each child off
     the run the tails ``t = q x^k tail`` with
     ``|tail| + k + 2|q| + 1 <= bound``, the exact length of the product.
+    At ``|tail| = bound`` it takes only the shrinks: of the elements ``a^t``
+    with ``t`` a proper suffix of ``tail``, those whose generator ``a`` is
+    that of the letter before ``t`` (:func:`conj_quandle.shrinkers`).
     """
     la = len(tail)
     reach = (bound - la - 1) // 2  # most letters of t past the shared suffix
@@ -125,16 +131,17 @@ def _candidates(root, axis: int, tail: tuple[int, ...], bound: int) -> list[int]
     node = root
     for key in reversed(tail):
         children, by_len = node
-        if by_len:
+        if reach >= 0:
             out += by_len[0]  # t is a suffix of tail
+        else:  # |tail| = bound: only a shrink by the generator of key
+            a = abs(key) - 1
+            out += [j for j in by_len[0] if elements[j][0] == a]
         if reach > 0:
             for lt, child in children.items():
                 if lt != key:
                     for group in child[1][:reach]:
                         out += group
-        node = children.get(key)
-        if node is None:
-            return out
+        node = children[key]
     # tail is a suffix of t = q x^k tail; walk the runs x^k, x^-k
     x = axis + 1
     run = [node]  # the nodes of x^k tail, one per sign once k > 0
@@ -142,8 +149,7 @@ def _candidates(root, axis: int, tail: tuple[int, ...], bound: int) -> list[int]
         reach = (bound - la - k - 1) // 2  # most letters of q
         below = []
         for children, by_len in run:
-            if by_len:
-                out += by_len[0]  # q is empty
+            out += by_len[0]  # q is empty
             for lt, child in children.items():
                 if lt == x or lt == -x:
                     below.append(child)
@@ -160,7 +166,7 @@ def _acted_on_near_bound(root, axis: int, u: tuple[int, ...], bound: int,
                          prev: int) -> list[int]:
     """Indices below ``prev`` of the trie's elements, with a tail of length
     ``bound - 1`` or ``bound``, that ``axis^u`` may act on within ``bound``,
-    unordered; see :func:`_new_elements`.
+    unordered; see :func:`_new_elements`.  ``u`` must be filed.
 
     They are the tails of length ``bound`` that end in ``axis^±1 u`` and the
     tails of length ``bound - 1`` that end in ``u``.
@@ -170,9 +176,7 @@ def _acted_on_near_bound(root, axis: int, u: tuple[int, ...], bound: int,
         return []
     node = root
     for lt in reversed(u):
-        node = node[0].get(lt)
-        if node is None:
-            return []
+        node = node[0][lt]
     x = axis + 1
     out: list[int] = []
     for group_node in (node, node[0].get(x), node[0].get(-x)):
@@ -181,24 +185,6 @@ def _acted_on_near_bound(root, axis: int, u: tuple[int, ...], bound: int,
                 if i >= prev:
                     break
                 out.append(i)
-    return out
-
-
-def _shrinking(root, elements: list[RawElement], tail: tuple[int, ...]) -> list[int]:
-    """Indices of the trie's elements ``a^u`` with u a proper suffix of
-    ``tail`` and a the generator of the letter before u, unordered: the
-    elements that may act on ``x^tail`` with ``|tail| = L`` within L, other
-    than those that give ``x^tail`` back; see :func:`_new_elements`.
-    """
-    out: list[int] = []
-    node = root
-    for d in range(len(tail) - 1, -1, -1):  # node holds the suffix tail[d + 1:]
-        children, by_len = node
-        a = abs(tail[d]) - 1
-        out += [j for j in by_len[0] if elements[j][0] == a]
-        node = children.get(tail[d])
-        if node is None:
-            break
     return out
 
 
@@ -230,21 +216,27 @@ def _new_elements(elements: list[RawElement], bound: int):
     superset of the within-bound pairs, and every product that passes the
     depth test below lands within the bound.  Sorted by j and put through
     the same exact test as an exhaustive loop, it finds the same elements,
-    with the same derivations, in the same order.  The trie is built per
-    call and extended only between rounds.
+    with the same derivations, in the same order.  It materializes only
+    the trials that can land within the bound, and only those that cancel
+    the whole tail pass through :func:`conj_quandle.canonical_tail`: a
+    product that keeps the first letter of a canonical ``tail`` is already
+    canonical.  The trie is built per call and extended only between
+    rounds.
 
     Near the bound fewer elements qualify.  At ``|tail| = L`` only a shrink
-    stays within L, so :func:`_shrinking` takes the ``a^t`` with ``t`` a
-    proper suffix of ``tail`` and ``a`` the generator of the letter before
-    it: a suffix hit with the wrong axis or sign has L + 1 letters, every
-    other product more, and ``t = tail`` gives ``elements[i]`` itself or
-    L + 1 letters.  At ``|tail| = L - 1`` only the elements whose tail is a
-    suffix of ``tail`` qualify: ``reach`` is 0, so no sibling candidate
-    exists, and a run letter (k >= 1) leaves L + k letters, so no run
-    candidate exists.  An old near-bound i pairs only with new j, so each
-    new ``a^u`` with ``|u| < L`` looks up the old elements it acts on
-    (:func:`_acted_on_near_bound`), and an old near-bound i that none
-    acts on is skipped without a walk.
+    stays within L, so :func:`_candidates` keeps, of the ``a^t`` with ``t``
+    a proper suffix of ``tail``, those with ``a`` the generator of the
+    letter before ``t``: a suffix hit with the wrong axis or sign has L + 1
+    letters, every other product more, and ``t = tail`` gives
+    ``elements[i]`` itself or L + 1 letters.  ``reach`` is negative there,
+    so no sibling candidate exists, and the runs are not walked.  At
+    ``|tail| = L - 1`` only the elements whose tail is a suffix of
+    ``tail`` qualify: ``reach`` is 0, so no sibling candidate exists, and
+    a run letter (k >= 1) leaves L + k letters, so no run candidate
+    exists.  An old near-bound i pairs only with new j, so each new
+    ``a^u`` with ``|u| < L`` looks up the old elements it acts on
+    (:func:`_acted_on_near_bound`), and an old near-bound i that none acts
+    on is skipped without a walk.
     """
     seen = set(elements)
     acting = [_acting_words(e) for e in elements]
@@ -266,10 +258,8 @@ def _new_elements(elements: list[RawElement], bound: int):
                 candidates = near.get(i)
                 if candidates is None:
                     continue
-            elif la == bound:  # a new element at the bound
-                candidates = sorted(_shrinking(trie, elements, tail))
             else:
-                candidates = _candidates(trie, axis, tail, bound)
+                candidates = _candidates(trie, elements, axis, tail, bound)
                 if i < prev:
                     candidates = [j for j in candidates if j >= prev]
                 candidates.sort()

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -38,9 +39,13 @@ def run(capsys, *argv):
 
 
 class TestReduce:
-    def test_reduce(self, capsys):
+    def test_reduce(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "reduce", "--alphabet", "x y", "x x^-1 y")
         assert code == 0 and out.strip() == "y"
+        # without argv, main reads the command line
+        monkeypatch.setattr(sys, "argv", ["freequandle", "reduce", "--alphabet",
+                                          "x y", "x x^-1 y"])
+        assert cli.main() == 0 and capsys.readouterr().out.strip() == "y"
 
     def test_empty_prints_one(self, capsys):
         code, out, _ = run(capsys, "reduce", "--alphabet", "x y", "x x^-1")
@@ -377,10 +382,14 @@ class TestDeterminismAndRoundTrip:
 
     def test_bad_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("no header\n")
-        for command in ("basis", "check-independence"):
+        for text, command, message in (
+                ("no header\n", "basis", "must start with 'alphabet:"),
+                ("no header\n", "check-independence", "must start with 'alphabet:"),
+                ("alphabet: x y\n", "check-independence",
+                 "input file lists no elements or words")):
+            path.write_text(text)
             code, out, err = run(capsys, command, str(path))
-            assert code == 2 and not out and "must start with 'alphabet:" in err
+            assert code == 2 and not out and message in err
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "basis", "/nonexistent/problem.txt")

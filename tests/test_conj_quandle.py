@@ -35,6 +35,12 @@ class TestCanonicalize:
     def test_repeated_stripping(self):
         assert cq.canonicalize(0, w("x^-1 x^-1 y x")) == el("x^(y x)")
 
+    def test_constructor_rejects_non_canonical(self):
+        with pytest.raises(ValueError, match="out of alphabet bounds"):
+            QuandleElement(2, w("y"))
+        with pytest.raises(ValueError, match="not canonical"):
+            QuandleElement(0, w("x^-1 y"))
+
     def test_canonical_tail_kept(self):
         # a tail with nothing to strip is used as given, not rebuilt
         tail = w("y x")

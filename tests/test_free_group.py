@@ -32,6 +32,15 @@ class TestReduce:
             fg.reduce(XY, [3])
         with pytest.raises(InvalidLetter):
             fg.reduce(XY, [0])
+        with pytest.raises(InvalidLetter, match="sign must be"):
+            fg.letter(0, 2)
+        with pytest.raises(InvalidLetter, match="negative generator index"):
+            fg.letter(-1, 1)
+
+    def test_word_must_be_reduced(self):
+        # Word does not reduce: a tuple with a cancelling pair is rejected
+        with pytest.raises(ValueError, match="not reduced"):
+            Word(XY, (X, Y, YI))
 
     @given(letters)
     def test_idempotent(self, raw):
@@ -134,10 +143,11 @@ class TestAlphabet:
             Alphabet(("x", "x"))
 
     def test_rejects_bad_names(self):
-        # a problem-file line starting with # is a comment
-        for bad in ("a b", "a^", "", "#a"):
+        # a problem-file line starting with # is a comment; no names at all
+        # is no alphabet
+        for names in (("a b",), ("a^",), ("",), ("#a",), ()):
             with pytest.raises(ValueError):
-                Alphabet((bad,))
+                Alphabet(names)
 
     def test_index(self):
         assert XY.index("y") == 1

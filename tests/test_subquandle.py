@@ -7,6 +7,7 @@ from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle import subquandle as sq
 from freequandle.errors import (
+    AlphabetMismatch,
     BoundTooSmall,
     ClosureTooLarge,
     EmptyGeneratorSet,
@@ -47,6 +48,13 @@ class TestClosure:
     def test_empty_generator_set(self):
         with pytest.raises(EmptyGeneratorSet):
             sq.closure([], 4)
+
+    def test_alphabet_mismatch(self):
+        other = cq.parse_element(XYZ, "x")
+        with pytest.raises(AlphabetMismatch):
+            sq.closure([el("x"), other], 4)
+        with pytest.raises(AlphabetMismatch):
+            sq.contains(sq.closure(els("x"), 4), other)
 
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
@@ -239,7 +247,7 @@ class TestCandidates:
             words = [(gw, fg.inverse(gw)) for gw in
                      (fg.conjugate_word(*e) for e in elements)]
             for axis, tail in elements:
-                candidates = set(sq._candidates(trie, axis, tail, bound))
+                candidates = set(sq._candidates(trie, elements, axis, tail, bound))
                 for j, pair in enumerate(words):
                     if j in candidates:
                         continue
@@ -250,7 +258,7 @@ class TestCandidates:
     def test_near_bound_lookups(self, corpus_closures, baseline_closures):
         # on whole closures, every (i, j) with |tail_i| >= L - 1 and a product
         # within the bound other than elements[i] itself is found from j, and
-        # at |tail_i| = L the shrink lookup returns exactly those j
+        # at |tail_i| = L the forward lookup returns exactly those j
         closures = [c for _, c in corpus_closures]
         closures += [c for c in baseline_closures if len(c) <= 2_000]
         checked = 0
@@ -285,7 +293,8 @@ class TestCandidates:
                             within.add(j)
                 assert within <= found[i]
                 if len(tail) == bound:
-                    assert sorted(sq._shrinking(trie, elements, tail)) == sorted(within)
+                    assert sorted(sq._candidates(trie, elements, axis, tail,
+                                                 bound)) == sorted(within)
                 checked += 1
         assert checked > 0
 
