@@ -16,7 +16,7 @@ from .conj_quandle import (
     RIGHT,
     LEFT,
 )
-from .subquandle import ClosureSet, QuandleTerm, closure, contains, express
+from .subquandle import ClosureSet, QuandleTerm, closure, express
 from .basis import BasisReport, ShrinkMove, compute_S, compute_T, greedy_shrink, is_shrinkable
 from .independence import (
     IndependenceReport,
@@ -28,7 +28,7 @@ __all__ = [
     "Alphabet", "Word", "reduce", "multiply", "invert", "conjugate",
     "QuandleElement", "act", "canonicalize", "from_group_word",
     "to_group_word", "verify_axioms", "RIGHT", "LEFT",
-    "ClosureSet", "QuandleTerm", "closure", "contains", "express",
+    "ClosureSet", "QuandleTerm", "closure", "express",
     "BasisReport", "ShrinkMove", "compute_S", "compute_T",
     "greedy_shrink", "is_shrinkable",
     "IndependenceReport", "check_significant_factors", "nielsen_independent",

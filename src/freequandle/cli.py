@@ -186,7 +186,7 @@ def cmd_express(args):
     fits = len(e.tail) <= args.max_tail_len
     c = sq.closure(gens, args.max_tail_len, args.max_elements,
                    stop_when_contains=[e] if fits else [])
-    if not sq.contains(c, e):
+    if e not in c:
         print(f"error: {e} not found in closure at bound {c.bound}",
               file=sys.stderr)
         return 1

@@ -8,9 +8,14 @@ This module owns that encoding and the one reduction loop.  Other modules
 build and read letters with :func:`letter` and :func:`letter_generator`,
 and work on reduced letter tuples through :func:`reduced_product`,
 :func:`inverse`, :func:`conjugate_word` and :func:`cancellation_depth`.
-``subquandle.closure`` inlines its depth scan, because a call per pair
-trial (16,848 for ``{x^(y), y}`` at L = 6) would dominate its running
-time.
+The documented fork is in the hot loops, where a call per pair trial or per
+letter of a trie walk would dominate the running time.
+``subquandle.closure`` inlines its depth scan (16,848 pair trials for
+``{x^(y), y}`` at L = 6), and the trie walks read the encoding inline:
+``conj_quandle.shrink_index`` (``e.axis + 1``), ``conj_quandle.shrinkers``
+(``abs(lt)`` and the sign of ``lt``), ``subquandle._candidates``
+(``axis + 1``, ``abs(key) - 1``) and ``subquandle._acted_on_near_bound``
+(``axis + 1``).
 """
 
 from __future__ import annotations

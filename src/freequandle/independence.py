@@ -75,17 +75,22 @@ def _failing_pairs(elements):
 
 
 class _Folding:
-    """A folded Stallings graph, grown one reduced word at a time.
+    """The folded Stallings graph of the subgroup ``<words>`` of reduced
+    words, grown one word at a time.
 
+    Each word becomes a loop at the base, folded as it is added
+    (:meth:`add`), so ``t^-1 x t`` adds ``|t|`` vertices, not ``2|t|``.
     Vertex 0 is the base.  ``out[v]`` maps a letter to the target of the
     edge labelled with it at v, both directions stored.  Merged vertices go
     under a union-find root and edge targets may be stale, so every read
     resolves them with :meth:`find`.
     """
 
-    def __init__(self):
+    def __init__(self, words=()):
         self.parent = [0]
         self.out: list[dict[int, int]] = [{}]
+        for w in words:
+            self.add(w)
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -153,19 +158,6 @@ class _Folding:
         return sum(len(self.out[v]) for v in roots) // 2 - len(roots) + 1
 
 
-def _fold(words) -> _Folding:
-    """The folded Stallings graph of the subgroup ``<words>`` of reduced words.
-
-    Each word becomes a loop at the base, folded as it is added
-    (:meth:`_Folding.add`), so ``t^-1 x t`` adds ``|t|`` vertices, not
-    ``2|t|``.
-    """
-    graph = _Folding()
-    for w in words:
-        graph.add(w)
-    return graph
-
-
 def nielsen_independent(words) -> IndependenceReport:
     """Exact test: pass iff the distinct words are a basis of their subgroup.
 
@@ -181,7 +173,7 @@ def nielsen_independent(words) -> IndependenceReport:
         if w.is_identity():
             raise EmptyInputWord("the identity word is not allowed as input")
     distinct = list(dict.fromkeys(w.letters for w in words))
-    rank = _fold(distinct).rank()
+    rank = _Folding(distinct).rank()
     return IndependenceReport(
         "nielsen", rank == len(distinct),
         detail=f"{len(distinct)} distinct words generate a subgroup of rank {rank}")

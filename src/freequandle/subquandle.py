@@ -76,6 +76,9 @@ class ClosureSet:
         return len(self.elements)
 
     def __contains__(self, e: QuandleElement) -> bool:
+        """Bounded membership: False means "not found within bound", not a proof."""
+        if e.alphabet != self.alphabet:
+            raise AlphabetMismatch("element from a different alphabet")
         return e in self.derivations or e in self.generators
 
     @cached_property
@@ -195,6 +198,9 @@ def _new_elements(elements: list[RawElement], bound: int):
     derivation ``(i, j, eps)``: elements[i] acted on by elements[j].  Each
     round tries the pairs with at least one element new since the last
     round, i in insertion order, then j, then eps +1 before -1.
+    ``elements`` must be canonical with tails of at most ``bound`` letters,
+    as :func:`closure` guarantees: :class:`QuandleElement` rejects a
+    non-canonical tail and :class:`BoundTooSmall` a longer one.
 
     Only the pairs that can land within the bound are tried.  Let
     ``elements[i] = x^tail`` and ``elements[j] = a^t``, whose acting word
@@ -263,8 +269,6 @@ def _new_elements(elements: list[RawElement], bound: int):
                 if i < prev:
                     candidates = [j for j in candidates if j >= prev]
                 candidates.sort()
-            # a product that keeps a first letter other than x^±1 is canonical
-            canonical_if_kept = la > 0 and abs(tail[0]) != axis + 1
             for j in candidates:
                 for gw, eps in acting[j]:
                     lg = len(gw)
@@ -276,7 +280,7 @@ def _new_elements(elements: list[RawElement], bound: int):
                     if c < la and la + lg - 2 * c > bound:
                         continue
                     product = tail[:la - c] + gw[c:]
-                    if c == la or not canonical_if_kept:
+                    if c == la:
                         product = cq.canonical_tail(axis, product)
                         if len(product) > bound:
                             continue
@@ -302,7 +306,8 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     up front for a budget below 1.
     ``stop_when_contains`` stops enumeration as soon as all listed elements
     are present; the result is then a prefix of the full closure whose
-    derivations are still valid.
+    derivations are still valid.  A generator or a listed element from
+    another alphabet raises :class:`AlphabetMismatch`.
     """
     if max_elements is not None and max_elements < 1:
         raise ClosureTooLarge(
@@ -331,8 +336,10 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     check_budget()
     missing = None
     if stop_when_contains is not None:
-        missing = {(e.axis, e.tail.letters) for e in stop_when_contains}
-        missing -= set(elements)
+        stop = list(stop_when_contains)
+        if any(e.alphabet != alphabet for e in stop):
+            raise AlphabetMismatch("stop targets and generators come from different alphabets")
+        missing = {(e.axis, e.tail.letters) for e in stop} - set(elements)
     if missing != set():
         for d in _new_elements(elements, bound):
             derivations.append(d)
@@ -348,13 +355,6 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
         for k, (i, j, eps) in enumerate(derivations, len(gens))
     }
     return ClosureSet(tuple(gens), bound, wrapped, deriv, max_elements)
-
-
-def contains(c: ClosureSet, e: QuandleElement) -> bool:
-    """Bounded membership: False means "not found within bound", not a proof."""
-    if e.alphabet != c.alphabet:
-        raise AlphabetMismatch("element from a different alphabet")
-    return e in c
 
 
 def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:

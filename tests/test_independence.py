@@ -424,7 +424,7 @@ class TestFoldAgainstReference:
         for _ in range(2000):
             words = shared_base_set(rng)
             if words:
-                assert ind._fold(words).rank() == reference_folded_rank(words), words
+                assert ind._Folding(words).rank() == reference_folded_rank(words), words
 
     @pytest.mark.parametrize("texts, rank", [
         (("x x", "x x x", "x x y"), 2),  # merges put the base under another root
@@ -434,11 +434,11 @@ class TestFoldAgainstReference:
     ])
     def test_pinned(self, texts, rank):
         words = [w(t).letters for t in texts]
-        assert ind._fold(words).rank() == reference_folded_rank(words) == rank
+        assert ind._Folding(words).rank() == reference_folded_rank(words) == rank
 
     def test_wide_set(self):
         words = element_words(wide_elements())
-        assert ind._fold(words).rank() == reference_folded_rank(words) == 972
+        assert ind._Folding(words).rank() == reference_folded_rank(words) == 972
 
 
 class TestFoldWork:
@@ -453,13 +453,13 @@ class TestFoldWork:
             sets.append(list(dict.fromkeys(
                 cq.random_element(XYZ, 10, rng) for _ in range(rng.randint(1, 30)))))
         for elements in sets:
-            graph = ind._fold(element_words(elements))
+            graph = ind._Folding(element_words(elements))
             assert len(graph.parent) <= sum(len(e.tail) for e in elements) + 1
 
     def test_long_conjugates(self):
         t = (2, 3) * 10000 + (2,)  # (y z)^10000 y
         elements = [cq.QuandleElement(a, fg.Word(XYZ, t)) for a in (0, 2)]
-        graph = ind._fold(element_words(elements))
+        graph = ind._Folding(element_words(elements))
         assert len(graph.parent) == len(t) + 1
         assert graph.rank() == 2
 
