@@ -5,6 +5,11 @@ Two methods produce a candidate basis: the tail-filter construction
 shorten) and a greedy shrink of the input generators.  Either candidate
 is only *certified* after the fact: generation witnesses for every input
 generator must replay, and both independence checkers must pass.
+
+The tail filter keeps exactly the loop elements B of the generators'
+folded graph (:mod:`stallings`, F3 and F4), so :func:`compute_S` reads B
+off the graph and needs of the closure only the prefix that holds B
+(:func:`paper_closure`).
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conj_quandle import QuandleElement, act, shrinkers, to_group_word
+from .errors import NotInClosure
 from .independence import IndependenceReport, check_significant_factors, nielsen_independent
 from .free_group import Word
-from .subquandle import ClosureSet, QuandleTerm, closure, express
+from .stallings import SubquandleGraph
+from .subquandle import DEFAULT_BOUND, ClosureSet, QuandleTerm, check_size, closure, express
 
 METHOD_PAPER = "paper"
 METHOD_GREEDY = "greedy"
@@ -97,8 +104,28 @@ def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
     )
 
 
+def paper_closure(gens, bound: int = DEFAULT_BOUND,
+                  max_elements: Optional[int] = None) -> ClosureSet:
+    """The prefix of ``closure(gens, bound, max_elements)`` that holds the
+    loop elements B (F3), on which :func:`compute_S` reports what it reports
+    on the whole closure.  The whole closure's errors, its budget included,
+    are raised up front (:func:`subquandle.check_size`)."""
+    gens = check_size(gens, bound, max_elements)
+    return closure(gens, bound, max_elements,
+                   stop_when_contains=SubquandleGraph(gens).basis())
+
+
 def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     """Candidate basis from the per-axis non-shrinkable tails.
+
+    c may be any closure of its generators that holds the loop elements B
+    of their folded graph: the whole closure, or a prefix that stopped
+    once B was in it (:func:`paper_closure`).  By F3 and F4 (see
+    :mod:`stallings`) B is exactly the tail filter of the whole closure
+    (:func:`_tail_filter`).  Its order is the filter's: axis by axis, then
+    closure order, and a stopped closure is a prefix of the whole one, so
+    the indices agree.  If c lacks an element of B, this raises
+    :class:`NotInClosure`.
 
     The candidate is certified a posteriori: generation witnesses for the
     input generators are built from a re-closure of the candidate at the
@@ -130,7 +157,13 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     The closures built here (at L + 2 for the stability check, and the
     witness re-closure) inherit c's element budget.
     """
-    candidate = _tail_filter(c)
+    basis = SubquandleGraph(c.generators).basis()
+    # a stable sort: closure order within each axis
+    candidate = tuple(sorted((e for e in c.elements if e in basis), key=lambda e: e.axis))
+    if len(candidate) < len(basis):
+        absent = ", ".join(sorted(map(str, basis.difference(candidate))))
+        raise NotInClosure(f"the closure at bound L = {c.bound} lacks the basis "
+                           f"elements {absent}")
     stable = None
     if check_stability:
         bigger = closure(list(c.generators), c.bound + 2, c.max_elements)

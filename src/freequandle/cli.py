@@ -20,6 +20,7 @@ from . import independence as ind
 from . import subquandle as sq
 from .errors import EmptyInputWord, FreeQuandleError, NotInFreeQuandle
 from .free_group import Alphabet
+from .stallings import SubquandleGraph
 from .subquandle import DEFAULT_BOUND
 
 
@@ -112,11 +113,12 @@ def cmd_basis(args):
     if args.check_stability and args.method != "paper":
         raise ValueError("--check-stability applies to --method paper only")
     _, gens = _read_problem(args.file)
-    c = sq.closure(gens, args.max_tail_len, args.max_elements)
     if args.method == "paper":
+        c = basis_mod.paper_closure(gens, args.max_tail_len, args.max_elements)
         report = basis_mod.compute_S(c, args.check_stability)
     else:
-        report = basis_mod.greedy_shrink(c)
+        report = basis_mod.greedy_shrink(
+            sq.closure(gens, args.max_tail_len, args.max_elements))
     yield from _basis_records(report)
     return 0 if report.certified else 1
 
@@ -181,20 +183,23 @@ def cmd_verify_axioms(args):
 def cmd_express(args):
     alphabet, gens = _read_problem(args.file)
     e = cq.parse_element(alphabet, args.element)
-    # a prefix of the full closure with the same derivations, so the same
-    # term; a tail longer than L cannot be in it, so only check the generators
-    fits = len(e.tail) <= args.max_tail_len
-    c = sq.closure(gens, args.max_tail_len, args.max_elements,
-                   stop_when_contains=[e] if fits else [])
-    if e not in c:
-        print(f"error: {e} not found in closure at bound {c.bound}",
-              file=sys.stderr)
-        return 1
-    element, term = str(e), str(sq.express(c, e))
-    yield "expression", {"element": element, "term": term}, f"{element} = {term}"
-    for i, g in enumerate(c.generators):
-        yield None, None, f"  g{i} = {g}"
-    return 0
+    bound, budget = args.max_tail_len, args.max_elements
+    if len(e.tail) > bound:  # not in the closure: only check the generators
+        sq.closure(gens, bound, budget, stop_when_contains=[])
+    elif not SubquandleGraph(gens).member(e):
+        # nor is a non-member (F4): raise the whole closure's errors up front
+        sq.check_size(gens, bound, budget)
+    else:
+        # a prefix of the full closure with the same derivations, so the
+        # same term
+        c = sq.closure(gens, bound, budget, stop_when_contains=[e])
+        element, term = str(e), str(sq.express(c, e))
+        yield "expression", {"element": element, "term": term}, f"{element} = {term}"
+        for i, g in enumerate(c.generators):
+            yield None, None, f"  g{i} = {g}"
+        return 0
+    print(f"error: {e} not found in closure at bound {bound}", file=sys.stderr)
+    return 1
 
 
 # subcommand -> the shared options it takes besides --format, in the order

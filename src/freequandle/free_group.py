@@ -140,6 +140,17 @@ def _check_same_alphabet(u: Word, v: Word) -> None:
         )
 
 
+def one_alphabet(items, what: str) -> Alphabet:
+    """The alphabet of the first item; raise :class:`AlphabetMismatch`
+    unless every item has it.  Items parsed together share one alphabet
+    object, which the identity test passes without comparing names."""
+    alphabet = items[0].alphabet
+    for it in items:
+        if it.alphabet is not alphabet and it.alphabet != alphabet:
+            raise AlphabetMismatch(f"{what} come from different alphabets")
+    return alphabet
+
+
 def reduce(alphabet: Alphabet, raw) -> Word:
     """Reduce an arbitrary sequence of letters to its unique normal form."""
     return Word(alphabet, reduced_product((), raw))

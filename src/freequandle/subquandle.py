@@ -25,6 +25,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .free_group import Alphabet, Word
+from .stallings import SubquandleGraph
 
 DEFAULT_BOUND = 8
 
@@ -293,22 +294,10 @@ def _new_elements(elements: list[RawElement], bound: int):
                     yield i, j, eps
 
 
-def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None,
-            stop_when_contains=None) -> ClosureSet:
-    """Fixed point of act(a, q, ±1) over ordered pairs, tails capped at ``bound``.
-
-    Pair iteration order is fixed (elements in insertion order, acting
-    element second, eps +1 before -1), so identical inputs give identical
-    closures.
-
-    ``max_elements`` raises :class:`ClosureTooLarge`, naming the budget,
-    the bound and the size reached, once the closure grows past it, and
-    up front for a budget below 1.
-    ``stop_when_contains`` stops enumeration as soon as all listed elements
-    are present; the result is then a prefix of the full closure whose
-    derivations are still valid.  A generator or a listed element from
-    another alphabet raises :class:`AlphabetMismatch`.
-    """
+def _checked_generators(gens, bound: int, max_elements: Optional[int]) -> list[QuandleElement]:
+    """gens deduplicated, after the checks :func:`closure` makes before it
+    enumerates, the budget last: a budget below 1, or below the number of
+    generators, raises :class:`ClosureTooLarge`."""
     if max_elements is not None and max_elements < 1:
         raise ClosureTooLarge(
             f"the element budget of {max_elements} holds no closure; it must be at least 1")
@@ -323,17 +312,59 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
             raise BoundTooSmall(
                 f"generator {g} has tail length {len(g.tail)} > bound {bound}"
             )
+    if max_elements is not None and len(gens) > max_elements:
+        raise _too_large(bound, len(gens), max_elements)
+    return gens
 
+
+def _too_large(bound: int, size: int, max_elements: int) -> ClosureTooLarge:
+    return ClosureTooLarge(
+        f"closure at bound L = {bound} reached {size} "
+        f"elements, over the element budget of {max_elements}")
+
+
+def check_size(gens, bound: int = DEFAULT_BOUND,
+               max_elements: Optional[int] = None) -> list[QuandleElement]:
+    """Raise every error of ``closure(gens, bound, max_elements)`` without
+    enumerating, in the same order, and return the deduplicated generators.
+
+    The closure's size is counted on the generators' folded graph
+    (:meth:`stallings.SubquandleGraph.size_within`, exact by F4), so a
+    closure over the budget raises what enumerating would have raised at
+    element ``max_elements + 1``.
+    """
+    gens = _checked_generators(gens, bound, max_elements)
+    if (max_elements is not None
+            and SubquandleGraph(gens).size_within(bound, max_elements) > max_elements):
+        raise _too_large(bound, max_elements + 1, max_elements)
+    return gens
+
+
+def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None,
+            stop_when_contains=None) -> ClosureSet:
+    """Fixed point of act(a, q, ±1) over ordered pairs, tails capped at ``bound``.
+
+    Pair iteration order is fixed (elements in insertion order, acting
+    element second, eps +1 before -1), so identical inputs give identical
+    closures.
+
+    ``max_elements`` raises :class:`ClosureTooLarge`, naming the budget,
+    the bound and the size reached, once the closure grows past it, and
+    up front for a budget below 1.  Without stop targets the whole closure
+    is built, so its size is checked up front (:func:`check_size`).
+    ``stop_when_contains`` stops enumeration as soon as all listed elements
+    are present; the result is then a prefix of the full closure whose
+    derivations are still valid.  A generator or a listed element from
+    another alphabet raises :class:`AlphabetMismatch`.
+    """
+    if stop_when_contains is None:
+        gens = check_size(gens, bound, max_elements)
+    else:
+        gens = _checked_generators(gens, bound, max_elements)
+    alphabet = gens[0].alphabet
     elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
     derivations: list[tuple[int, int, int]] = []  # of elements[len(gens):]
 
-    def check_budget():
-        if max_elements is not None and len(elements) > max_elements:
-            raise ClosureTooLarge(
-                f"closure at bound L = {bound} reached {len(elements)} "
-                f"elements, over the element budget of {max_elements}")
-
-    check_budget()
     missing = None
     if stop_when_contains is not None:
         stop = list(stop_when_contains)
@@ -343,7 +374,8 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     if missing != set():
         for d in _new_elements(elements, bound):
             derivations.append(d)
-            check_budget()
+            if max_elements is not None and len(elements) > max_elements:
+                raise _too_large(bound, len(elements), max_elements)
             if missing is not None:
                 missing.discard(elements[-1])
                 if not missing:

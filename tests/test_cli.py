@@ -138,6 +138,64 @@ class TestElementBudget:
                        "it must be at least 1\n")
 
 
+class TestUpFrontBudget:
+    """Budget errors of closures the command does not enumerate in full:
+    the bytes that enumerating would have printed."""
+
+    @pytest.mark.parametrize("method", ["paper", "greedy"])
+    def test_plain_basis_edges(self, capsys, problem_file, method):
+        _, gens = sq.parse_problem(PROBLEM)
+        full = len(sq.closure(gens, 4))  # 162
+        argv = ["basis", problem_file, "--method", method, "--max-tail-len", "4"]
+        assert run(capsys, *argv, "--max-elements", str(full)) == run(capsys, *argv)
+        assert run(capsys, *argv, "--max-elements", str(full - 1)) == (
+            2, "", f"error: closure at bound L = 4 reached {full} elements, "
+                   f"over the element budget of {full - 1}\n")
+
+    @pytest.mark.parametrize("command", ["basis", "closure"])
+    def test_generator_count_over_budget(self, capsys, tmp_path, command):
+        path = tmp_path / "three.txt"
+        path.write_text("alphabet: x y\nx^(y)\ny\nx^(y^-1)\n")
+        assert run(capsys, command, str(path), "--max-elements", "1") == (
+            2, "", "error: closure at bound L = 8 reached 3 elements, "
+                   "over the element budget of 1\n")
+
+    def test_closure_fails_without_enumerating(self, capsys, monkeypatch,
+                                               problem_file):
+        def enumerating(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(sq, "_new_elements", enumerating)
+        assert run(capsys, "closure", problem_file, "--max-tail-len", "12",
+                   "--max-elements", "20000") == (
+            2, "", "error: closure at bound L = 12 reached 20001 elements, "
+                   "over the element budget of 20000\n")
+
+    def test_express_non_member_without_a_closure(self, capsys, monkeypatch,
+                                                  tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("alphabet: x y z\nx^(y)\ny^(z x)\nz\n")
+        built = []
+        real = sq.closure
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(sq, "closure", recording)
+        argv = ["express", str(path), "y", "--max-tail-len", "12"]
+        assert run(capsys, *argv) == (
+            1, "", "error: y not found in closure at bound 12\n")
+        assert built == []
+        # 8,911 elements at L = 12: the budget error comes up front
+        assert run(capsys, *argv, "--max-elements", "8911") == (
+            1, "", "error: y not found in closure at bound 12\n")
+        assert run(capsys, *argv, "--max-elements", "8910") == (
+            2, "", "error: closure at bound L = 12 reached 8911 elements, "
+                   "over the element budget of 8910\n")
+        assert built == []
+
+
 class TestBasis:
     def test_paper_method(self, capsys, problem_file):
         code, out, _ = run(capsys, "basis", problem_file, "--method", "paper",

@@ -11,7 +11,7 @@ from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle import independence as ind
 from freequandle import subquandle as sq
-from freequandle.errors import EmptyInputWord
+from freequandle.errors import AlphabetMismatch, EmptyInputWord
 from freequandle.free_group import Alphabet
 
 from test_basis import _ref_shrinks
@@ -91,6 +91,12 @@ class TestSignificantFactors:
         for check in (ind.check_significant_factors, ind.nielsen_independent):
             with pytest.raises(ValueError, match="need at least one"):
                 check([])
+
+    def test_mixed_alphabets_rejected(self):
+        # x over "x y" has the raw letters of x over "x y z"
+        mixed = [cq.parse_element(XY, "x"), cq.parse_element(XYZ, "x")]
+        with pytest.raises(AlphabetMismatch):
+            ind.check_significant_factors(mixed)
 
 
 def restated_significant_factors(elements):
@@ -272,6 +278,11 @@ class TestNielsen:
     def test_identity_rejected(self):
         with pytest.raises(EmptyInputWord):
             ind.nielsen_independent([w("1")])
+
+    def test_mixed_alphabets_rejected(self):
+        # the two words' raw letters would fold to rank 1
+        with pytest.raises(AlphabetMismatch):
+            ind.nielsen_independent([w("x"), fg.parse_word(XYZ, "x")])
 
 
 def evaluate(words, symbols):
