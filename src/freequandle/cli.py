@@ -24,6 +24,12 @@ from .stallings import SubquandleGraph
 from .subquandle import DEFAULT_BOUND
 
 
+# the element budget without --max-elements: a closure peaks at about 1.5 KB
+# per element (190 MB for the 118,098 of {x^(y), y} at L = 10), so about
+# 0.75 GB
+DEFAULT_MAX_ELEMENTS = 500_000
+
+
 def _machine_record(kind: str, **fields) -> str:
     parts = [f"kind={kind}"]
     parts += [f"{k}={fields[k]}" for k in sorted(fields) if fields[k] is not None]
@@ -220,7 +226,8 @@ def _shared_options(p: argparse.ArgumentParser, kind) -> None:
                        "one element per line)")
         p.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
                        metavar="L")
-        p.add_argument("--max-elements", type=int, metavar="N",
+        p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
+                       metavar="N",
                        help="element budget of every closure the command "
                             "builds; exceeding it is an input error (exit 2)")
 

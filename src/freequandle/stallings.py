@@ -229,26 +229,36 @@ class SubquandleGraph:
         count above ``cap`` is returned.
 
         With one loop, the subquandle is that loop's element alone.  With
-        more, a DP over the states ``(vertex, last letter)`` counts, length
-        by length, the walks from the base that never turn straight back,
-        and adds per walk its vertex's x-loops with x not the last letter.
+        more, a DP over the walks' last edges (in a folded graph, the vertex
+        and the last letter) counts, length by length, the walks from the
+        base that never turn straight back: those that go on from v by lt
+        are those that end at v, less those that entered v by ``lt^-1``.
+        Each walk adds its vertex's x-loops with x not its last letter.
         Their number grows exponentially with the length, so a cap ends the
         count after a few steps.
         """
         if len(self.loops) == 1:
             (k,) = self.loops.values()
             return int(len(self.generators[k].tail) <= bound)
-        out, find = self.fold.out, self.fold.find
-        total, counts = 0, {(find(0), 0): 1}  # last letter 0: the empty walk
+        fold = self.fold
+        edges = [(v, lt, fold.find(t))  # a merged vertex has none
+                 for v, out in enumerate(fold.out) for lt, t in out.items()]
+        index = {(v, lt): e for e, (v, lt, _) in enumerate(edges)}
+        rev = [index[t, -lt] for _, lt, t in edges]
+        loops = [(v, e, rev[e]) for e, (v, lt, t) in enumerate(edges)
+                 if t == v and lt > 0]
+        ending = [0] * len(fold.out)  # the walks that end at each vertex
+        ending[fold.find(0)] = 1  # the empty walk
+        walks = [0] * len(edges)  # the walks that end with each edge
+        total = 0
         for length in range(bound + 1):
-            walks, counts = counts, {}
-            for (v, last), n in walks.items():
-                for lt, t in out[v].items():
-                    t = find(t)
-                    if t == v and lt > 0 and lt != abs(last):
-                        total += n
-                    if lt != -last and length < bound:
-                        counts[t, lt] = counts.get((t, lt), 0) + n
-            if cap is not None and total > cap:
+            for v, e, r in loops:  # the walks to v not ending in x^±1
+                total += ending[v] - walks[e] - walks[r]
+            if cap is not None and total > cap or length == bound:
                 break
+            # no walk turns straight back: none that entered v by lt^-1
+            walks = [ending[v] - walks[r] for (v, _, _), r in zip(edges, rev)]
+            ending = [0] * len(fold.out)
+            for (_, _, t), n in zip(edges, walks):
+                ending[t] += n
         return total

@@ -9,6 +9,7 @@ it can be expressed as a term over the generators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -116,9 +117,10 @@ def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
 
 
 def _candidates(root, elements: list[RawElement], axis: int, tail: tuple[int, ...],
-                bound: int) -> list[int]:
-    """Indices of the trie's elements that may act on ``axis^tail`` within
-    ``bound``, unordered; see :func:`_new_elements`.  ``tail`` must be filed.
+                bound: int, prev: int = 0) -> list[int]:
+    """Indices, from ``prev`` on, of the trie's elements that may act on
+    ``axis^tail`` within ``bound``, unordered; see :func:`_new_elements`.
+    ``tail`` must be filed.
 
     Below the node of ``tail`` it walks the runs ``x^k tail`` and
     ``x^-k tail`` of the axis letter x while ``|tail| + k + 1 <= bound``.
@@ -128,23 +130,24 @@ def _candidates(root, elements: list[RawElement], axis: int, tail: tuple[int, ..
     At ``|tail| = bound`` it takes only the shrinks: of the elements ``a^t``
     with ``t`` a proper suffix of ``tail``, those whose generator ``a`` is
     that of the letter before ``t`` (:func:`conj_quandle.shrinkers`).
+    The walk collects index-ordered groups; with ``prev`` it skips each
+    group that ends below ``prev`` and bisects the rest.
     """
     la = len(tail)
     reach = (bound - la - 1) // 2  # most letters of t past the shared suffix
-    out: list[int] = []
+    groups: list[list[int]] = []
     node = root
     for key in reversed(tail):
         children, by_len = node
         if reach >= 0:
-            out += by_len[0]  # t is a suffix of tail
+            groups.append(by_len[0])  # t is a suffix of tail
         else:  # |tail| = bound: only a shrink by the generator of key
             a = abs(key) - 1
-            out += [j for j in by_len[0] if elements[j][0] == a]
+            groups.append([j for j in by_len[0] if elements[j][0] == a])
         if reach > 0:
             for lt, child in children.items():
                 if lt != key:
-                    for group in child[1][:reach]:
-                        out += group
+                    groups += child[1][:reach]
         node = children[key]
     # tail is a suffix of t = q x^k tail; walk the runs x^k, x^-k
     x = axis + 1
@@ -153,16 +156,19 @@ def _candidates(root, elements: list[RawElement], axis: int, tail: tuple[int, ..
         reach = (bound - la - k - 1) // 2  # most letters of q
         below = []
         for children, by_len in run:
-            out += by_len[0]  # q is empty
+            groups.append(by_len[0])  # q is empty
             for lt, child in children.items():
                 if lt == x or lt == -x:
                     below.append(child)
                 elif reach > 0:
-                    for group in child[1][:reach]:
-                        out += group
+                    groups += child[1][:reach]
         if not below:
             break
         run = below
+    out: list[int] = []
+    for group in groups:
+        if group and group[-1] >= prev:
+            out += group[bisect_left(group, prev):] if prev else group
     return out
 
 
@@ -192,7 +198,8 @@ def _acted_on_near_bound(root, axis: int, u: tuple[int, ...], bound: int,
     return out
 
 
-def _new_elements(elements: list[RawElement], bound: int):
+def _new_elements(elements: list[RawElement], bound: int,
+                  size: Optional[int] = None):
     """Semi-naive fixed point of act(a, q, ±1) over ``elements``, in place.
 
     Appends each new within-bound product to ``elements`` and yields its
@@ -228,7 +235,19 @@ def _new_elements(elements: list[RawElement], bound: int):
     the whole tail pass through :func:`conj_quandle.canonical_tail`: a
     product that keeps the first letter of a canonical ``tail`` is already
     canonical.  The trie is built per call and extended only between
-    rounds.
+    rounds.  The two acting words of ``a^t`` differ only in their middle
+    letter, so one scan of the common suffix serves both eps.  Where
+    neither tail is a suffix of the other, the walk has already bounded
+    the exact length of both products, so a product is measured only
+    where one tail is a suffix of the other.  An old i takes only the new
+    j, so :func:`_candidates` skips the groups of old indices.
+
+    Two kinds of trial are skipped, because they can only rediscover:
+    ``j = i``, since ``act(e, e, ±1) = e``, and the eps that undoes i's own
+    derivation, since ``act(act(a, q, eps), q, -eps) = a``.  Given
+    ``size``, the closure's exact size (:func:`closure` counts it by F4),
+    the enumeration stops at the ``size``-th element: every later trial
+    only rediscovers.  Without it, the last round finds nothing.
 
     Near the bound fewer elements qualify.  At ``|tail| = L`` only a shrink
     stays within L, so :func:`_candidates` keeps, of the ``a^t`` with ``t``
@@ -247,9 +266,11 @@ def _new_elements(elements: list[RawElement], bound: int):
     """
     seen = set(elements)
     acting = [_acting_words(e) for e in elements]
+    # (j, eps) with act(elements[k], elements[j], eps) already found
+    undo = [(-1, 0)] * len(elements)
     trie = [{}, []]  # of elements[:done]
     done = 0  # pairs among elements[:done] are already tried
-    while done < len(elements):
+    while done < len(elements) != size:  # a round found something, short of size
         prev, done = done, len(elements)
         for j in range(prev, done):
             _trie_insert(trie, elements[j][1], j)
@@ -266,23 +287,35 @@ def _new_elements(elements: list[RawElement], bound: int):
                 if candidates is None:
                     continue
             else:
-                candidates = _candidates(trie, elements, axis, tail, bound)
-                if i < prev:
-                    candidates = [j for j in candidates if j >= prev]
+                candidates = _candidates(trie, elements, axis, tail, bound,
+                                         prev if i < prev else 0)
                 candidates.sort()
+            back, back_eps = undo[i]
             for j in candidates:
+                if j == i:
+                    continue
+                t = elements[j][1]
+                lt = len(t)
+                # common suffix of tail and t: where tail · gw stops
+                # cancelling for both eps, unless t is a suffix of tail
+                s = 0
+                m = la if la < lt else lt
+                while s < m and tail[~s] == t[~s]:
+                    s += 1
                 for gw, eps in acting[j]:
-                    lg = len(gw)
-                    # cancellation depth of tail · gw, before materializing
-                    c = 0
-                    while c < la and c < lg and tail[la - 1 - c] == -gw[c]:
-                        c += 1
-                    # a surviving first tail letter leaves nothing to strip
-                    if c < la and la + lg - 2 * c > bound:
+                    if j == back and eps == back_eps:
                         continue
-                    product = tail[:la - c] + gw[c:]
-                    if c == la:
-                        product = cq.canonical_tail(axis, product)
+                    c = s
+                    if c == lt:  # past t, the scan reads a^eps, then t again
+                        lg = len(gw)
+                        while c < la and c < lg and tail[~c] == -gw[c]:
+                            c += 1
+                        if c < la and la + lg - 2 * c > bound:
+                            continue
+                    if c < la:  # a surviving first tail letter: nothing to strip
+                        product = tail[:la - c] + gw[c:]
+                    else:
+                        product = cq.canonical_tail(axis, gw[c:])
                         if len(product) > bound:
                             continue
                     res = (axis, product)
@@ -291,7 +324,10 @@ def _new_elements(elements: list[RawElement], bound: int):
                     seen.add(res)
                     elements.append(res)
                     acting.append(_acting_words(res))
+                    undo.append((j, -eps))
                     yield i, j, eps
+                    if len(elements) == size:
+                        return
 
 
 def _checked_generators(gens, bound: int, max_elements: Optional[int]) -> list[QuandleElement]:
@@ -334,10 +370,18 @@ def check_size(gens, bound: int = DEFAULT_BOUND,
     element ``max_elements + 1``.
     """
     gens = _checked_generators(gens, bound, max_elements)
-    if (max_elements is not None
-            and SubquandleGraph(gens).size_within(bound, max_elements) > max_elements):
-        raise _too_large(bound, max_elements + 1, max_elements)
+    if max_elements is not None:
+        _size(gens, bound, max_elements)
     return gens
+
+
+def _size(gens: list[QuandleElement], bound: int, max_elements: Optional[int]) -> int:
+    """The exact size of the closure of the checked ``gens``; over the
+    budget, the error enumerating would raise."""
+    size = SubquandleGraph(gens).size_within(bound, max_elements)
+    if max_elements is not None and size > max_elements:
+        raise _too_large(bound, max_elements + 1, max_elements)
+    return size
 
 
 def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None,
@@ -351,16 +395,18 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     ``max_elements`` raises :class:`ClosureTooLarge`, naming the budget,
     the bound and the size reached, once the closure grows past it, and
     up front for a budget below 1.  Without stop targets the whole closure
-    is built, so its size is checked up front (:func:`check_size`).
+    is built, so its size is counted and checked up front
+    (:func:`check_size`), and the enumeration stops once it holds that
+    many elements: by F4 (:mod:`stallings`) the closure is exactly the
+    subquandle's members within the bound, so the trials after that only
+    rediscover, as do the two kinds :func:`_new_elements` skips.
     ``stop_when_contains`` stops enumeration as soon as all listed elements
     are present; the result is then a prefix of the full closure whose
     derivations are still valid.  A generator or a listed element from
     another alphabet raises :class:`AlphabetMismatch`.
     """
-    if stop_when_contains is None:
-        gens = check_size(gens, bound, max_elements)
-    else:
-        gens = _checked_generators(gens, bound, max_elements)
+    gens = _checked_generators(gens, bound, max_elements)
+    size = None if stop_when_contains is not None else _size(gens, bound, max_elements)
     alphabet = gens[0].alphabet
     elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
     derivations: list[tuple[int, int, int]] = []  # of elements[len(gens):]
@@ -372,7 +418,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
             raise AlphabetMismatch("stop targets and generators come from different alphabets")
         missing = {(e.axis, e.tail.letters) for e in stop} - set(elements)
     if missing != set():
-        for d in _new_elements(elements, bound):
+        for d in _new_elements(elements, bound, size):
             derivations.append(d)
             if max_elements is not None and len(elements) > max_elements:
                 raise _too_large(bound, len(elements), max_elements)

@@ -195,6 +195,19 @@ class TestUpFrontBudget:
                    "over the element budget of 8910\n")
         assert built == []
 
+    def test_default_budget(self, capsys, monkeypatch, problem_file):
+        # 9,565,938 elements at L = 14, about 14 GB: without --max-elements
+        # the default budget fails up front, as that budget given explicitly
+        def enumerating(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(sq, "_new_elements", enumerating)
+        budget = cli.DEFAULT_MAX_ELEMENTS
+        argv = ["closure", problem_file, "--max-tail-len", "14"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--max-elements", str(budget)) == (
+            2, "", f"error: closure at bound L = 14 reached {budget + 1} elements, "
+                   f"over the element budget of {budget}\n")
+
 
 class TestBasis:
     def test_paper_method(self, capsys, problem_file):

@@ -65,9 +65,15 @@ class TestGraphAgainstClosure:
             assert SubquandleGraph(c.generators).basis() == set(bs._tail_filter(c))
 
     def test_size_within(self, problems):
+        # closure stops at this count, so the oracle is an enumeration run
+        # to its fixed point: _new_elements given no count
         for c in problems:
             graph = SubquandleGraph(c.generators)
-            assert graph.size_within(c.bound) == len(c)
+            elements = [(g.axis, g.tail.letters) for g in c.generators]
+            for _ in sq._new_elements(elements, c.bound):
+                pass
+            assert graph.size_within(c.bound) == len(elements)
+            assert elements == [(e.axis, e.tail.letters) for e in c.elements]
             for cap in (len(c) - 1, len(c)):
                 assert (graph.size_within(c.bound, cap) > cap) == (len(c) > cap)
 

@@ -15,6 +15,7 @@ from freequandle.errors import (
     WitnessNotFound,
 )
 from freequandle.free_group import Alphabet
+from freequandle.stallings import SubquandleGraph
 
 from conftest import BASELINE_ROWS
 
@@ -160,8 +161,19 @@ def _all_pairs_new_elements(elements, bound):
 
 # the exhaustive loop is quadratic, so both enumerations are compared on
 # their first PREFIX derivations: they run in the same order, so a prefix
-# is a complete check up to that size
+# is a complete check up to that size.  Closures of at most WHOLE elements
+# are compared whole, the indexed loop stopping at the exact size
 PREFIX = 150
+WHOLE = 300
+
+
+def _exact_size(gens, bound):
+    """size_within of raw elements on at most three axes, or None below the
+    longest tail, where closure takes no such bound and F4 does not hold."""
+    if any(len(t) > bound for _, t in gens):
+        return None
+    return SubquandleGraph([cq.QuandleElement(a, fg.Word(XYZ, t))
+                            for a, t in gens]).size_within(bound)
 
 
 @st.composite
@@ -197,11 +209,43 @@ class TestIndexedLoop:
     @example(([(0, ()), (1, (3, 1, 1)), (2, (1,))], 5))
     def test_same_elements_and_derivations(self, case):
         gens, bound = case
+        size = _exact_size(gens, bound)
+        limit = PREFIX if size is None or size > WHOLE else None
         ref, new = list(gens), list(gens)
-        want = list(itertools.islice(_all_pairs_new_elements(ref, bound), PREFIX))
-        got = list(itertools.islice(sq._new_elements(new, bound), PREFIX))
+        want = list(itertools.islice(_all_pairs_new_elements(ref, bound), limit))
+        got = list(itertools.islice(sq._new_elements(new, bound, size), limit))
         assert got == want
         assert new == ref
+        if limit is None:
+            assert len(new) == size
+
+
+class TestStop:
+    def test_no_walk_after_the_last_element(self, monkeypatch, corpus_closures,
+                                            baseline_closures):
+        # without stop targets the enumeration ends with the size_within(L)-th
+        # element: no trie walk runs after it, where the fixed point's last
+        # round walks once more for every element of the round before
+        lengths = []
+        real = sq._candidates
+
+        def spy(root, elements, *args):
+            lengths.append(len(elements))
+            return real(root, elements, *args)
+
+        monkeypatch.setattr(sq, "_candidates", spy)
+        closures = [c for _, c in corpus_closures]
+        closures += [c for c in baseline_closures if len(c) <= 2_000]
+        for c in closures:
+            size = SubquandleGraph(c.generators).size_within(c.bound)
+            lengths.clear()
+            assert len(sq.closure(c.generators, c.bound)) == size
+            assert max(lengths, default=0) < size
+            lengths.clear()
+            elements = [(g.axis, g.tail.letters) for g in c.generators]
+            for _ in sq._new_elements(elements, c.bound):
+                pass
+            assert len(elements) == size == max(lengths)
 
 
 class TestCandidates:
