@@ -105,12 +105,13 @@ def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
 
 
 def paper_closure(gens, bound: int = DEFAULT_BOUND,
-                  max_elements: Optional[int] = None) -> ClosureSet:
+                  max_elements: Optional[int] = None, whole: bool = True) -> ClosureSet:
     """The prefix of ``closure(gens, bound, max_elements)`` that holds the
     loop elements B (F3), on which :func:`compute_S` reports what it reports
     on the whole closure.  The whole closure's errors, its budget included,
-    are raised up front (:func:`subquandle.check_size`)."""
-    gens = check_size(gens, bound, max_elements)
+    are raised up front (:func:`subquandle.check_size`); with ``whole``
+    false, the budget binds only the prefix, as it grows."""
+    gens = check_size(gens, bound, max_elements if whole else None)
     return closure(gens, bound, max_elements,
                    stop_when_contains=SubquandleGraph(gens).basis())
 

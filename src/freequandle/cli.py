@@ -30,6 +30,13 @@ from .subquandle import DEFAULT_BOUND
 DEFAULT_MAX_ELEMENTS = 500_000
 
 
+def _budget(args) -> int:
+    """The budget of the closures a command enumerates: ``--max-elements``,
+    or the default.  Only an explicit budget binds the closures a command
+    answers without enumerating (the paper basis's, a non-member's)."""
+    return DEFAULT_MAX_ELEMENTS if args.max_elements is None else args.max_elements
+
+
 def _machine_record(kind: str, **fields) -> str:
     parts = [f"kind={kind}"]
     parts += [f"{k}={fields[k]}" for k in sorted(fields) if fields[k] is not None]
@@ -107,7 +114,7 @@ def cmd_qop(args):
 
 def cmd_closure(args):
     _, gens = _read_problem(args.file)
-    c = sq.closure(gens, args.max_tail_len, args.max_elements)
+    c = sq.closure(gens, args.max_tail_len, _budget(args))
     yield ("closure", {"bound": c.bound, "size": len(c)},
            f"closure size {len(c)} at bound L = {c.bound}")
     for e in map(str, c.elements):
@@ -120,11 +127,12 @@ def cmd_basis(args):
         raise ValueError("--check-stability applies to --method paper only")
     _, gens = _read_problem(args.file)
     if args.method == "paper":
-        c = basis_mod.paper_closure(gens, args.max_tail_len, args.max_elements)
+        c = basis_mod.paper_closure(gens, args.max_tail_len, _budget(args),
+                                    whole=args.max_elements is not None)
         report = basis_mod.compute_S(c, args.check_stability)
     else:
         report = basis_mod.greedy_shrink(
-            sq.closure(gens, args.max_tail_len, args.max_elements))
+            sq.closure(gens, args.max_tail_len, _budget(args)))
     yield from _basis_records(report)
     return 0 if report.certified else 1
 
@@ -198,7 +206,7 @@ def cmd_express(args):
     else:
         # a prefix of the full closure with the same derivations, so the
         # same term
-        c = sq.closure(gens, bound, budget, stop_when_contains=[e])
+        c = sq.closure(gens, bound, _budget(args), stop_when_contains=[e])
         element, term = str(e), str(sq.express(c, e))
         yield "expression", {"element": element, "term": term}, f"{element} = {term}"
         for i, g in enumerate(c.generators):
@@ -226,8 +234,7 @@ def _shared_options(p: argparse.ArgumentParser, kind) -> None:
                        "one element per line)")
         p.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
                        metavar="L")
-        p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
-                       metavar="N",
+        p.add_argument("--max-elements", type=int, metavar="N",
                        help="element budget of every closure the command "
                             "builds; exceeding it is an input error (exit 2)")
 

@@ -208,6 +208,43 @@ class TestUpFrontBudget:
             2, "", f"error: closure at bound L = 14 reached {budget + 1} elements, "
                    f"over the element budget of {budget}\n")
 
+    def test_default_budget_spares_answers_without_a_closure(self, capsys, problem_file,
+                                                            tmp_path):
+        # the paper basis and a non-member's "not found" enumerate no whole
+        # closure, so only an explicit budget binds the whole one: 9,565,938
+        # elements at L = 14 for README's problem, 828,135 at L = 18 for this
+        budget = str(cli.DEFAULT_MAX_ELEMENTS)
+        argv = ["basis", problem_file, "--max-tail-len", "14"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "candidate basis: x, y\n" in out
+        assert run(capsys, *argv, "--max-elements", "9565938") == (code, out, err)
+        assert run(capsys, *argv, "--max-elements", budget)[0] == 2
+        path = tmp_path / "p.txt"
+        path.write_text("alphabet: x y z\nx^(y)\ny^(z x)\nz\n")
+        argv = ["express", str(path), "y", "--max-tail-len", "18"]
+        assert run(capsys, *argv) == (1, "", "error: y not found in closure at bound 18\n")
+        assert run(capsys, *argv, "--max-elements", budget)[0] == 2
+
+    def test_default_budget_binds_what_basis_enumerates(self, capsys, monkeypatch,
+                                                       problem_file):
+        # the L + 2 closure of --check-stability is enumerated whole
+        budget = cli.DEFAULT_MAX_ELEMENTS
+        argv = ["basis", problem_file, "--max-tail-len", "12", "--check-stability"]
+        assert run(capsys, *argv) == (
+            2, "", f"error: closure at bound L = 14 reached {budget + 1} elements, "
+                   f"over the element budget of {budget}\n")
+        # the prefix that holds the basis has 4 elements at L = 4, the whole
+        # closure 162: the default binds the prefix, as it grows
+        argv = ["basis", problem_file, "--max-tail-len", "4"]
+        monkeypatch.setattr(cli, "DEFAULT_MAX_ELEMENTS", 4)
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--max-elements", "4")[0] == 2
+        monkeypatch.setattr(cli, "DEFAULT_MAX_ELEMENTS", 3)
+        assert run(capsys, *argv) == (
+            2, "", "error: closure at bound L = 4 reached 4 elements, "
+                   "over the element budget of 3\n")
+
 
 class TestBasis:
     def test_paper_method(self, capsys, problem_file):
