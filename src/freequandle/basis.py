@@ -22,7 +22,15 @@ from .errors import NotInClosure
 from .independence import IndependenceReport, check_significant_factors, nielsen_independent
 from .free_group import Word
 from .stallings import SubquandleGraph
-from .subquandle import DEFAULT_BOUND, ClosureSet, QuandleTerm, check_size, closure, express
+from .subquandle import (
+    DEFAULT_BOUND,
+    ClosureSet,
+    QuandleTerm,
+    _checked_generators,
+    _size,
+    closure,
+    express,
+)
 
 METHOD_PAPER = "paper"
 METHOD_GREEDY = "greedy"
@@ -110,10 +118,13 @@ def paper_closure(gens, bound: int = DEFAULT_BOUND,
     loop elements B (F3), on which :func:`compute_S` reports what it reports
     on the whole closure.  The whole closure's errors, its budget included,
     are raised up front (:func:`subquandle.check_size`); with ``whole``
-    false, the budget binds only the prefix, as it grows."""
-    gens = check_size(gens, bound, max_elements if whole else None)
-    return closure(gens, bound, max_elements,
-                   stop_when_contains=SubquandleGraph(gens).basis())
+    false, the budget binds only the prefix, as it grows.  The generators
+    are folded once, and the prefix keeps the graph for :func:`compute_S`."""
+    gens = _checked_generators(gens, bound, max_elements if whole else None)
+    graph = SubquandleGraph(gens)
+    if whole and max_elements is not None:
+        _size(graph, bound, max_elements)
+    return closure(graph, bound, max_elements, stop_when_contains=graph.basis())
 
 
 def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
@@ -158,7 +169,7 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     The closures built here (at L + 2 for the stability check, and the
     witness re-closure) inherit c's element budget.
     """
-    basis = SubquandleGraph(c.generators).basis()
+    basis = c.graph.basis()
     # a stable sort: closure order within each axis
     candidate = tuple(sorted((e for e in c.elements if e in basis), key=lambda e: e.axis))
     if len(candidate) < len(basis):
@@ -167,7 +178,7 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
                            f"elements {absent}")
     stable = None
     if check_stability:
-        bigger = closure(list(c.generators), c.bound + 2, c.max_elements)
+        bigger = closure(c.graph, c.bound + 2, c.max_elements)
         stable = set(_tail_filter(bigger)) == set(candidate)
     # stops once every generator is found: a prefix of the full closure
     # with the same derivations, or all of it if some generator is missing

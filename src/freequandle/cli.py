@@ -37,23 +37,30 @@ def _budget(args) -> int:
     return DEFAULT_MAX_ELEMENTS if args.max_elements is None else args.max_elements
 
 
-def _machine_record(kind: str, **fields) -> str:
-    parts = [f"kind={kind}"]
-    parts += [f"{k}={fields[k]}" for k in sorted(fields) if fields[k] is not None]
-    return "\t".join(parts)
+def _machine_record(kind: str, fields: dict) -> str:
+    return "\t".join([f"kind={kind}",
+                      *[f"{k}={v}" for k, v in sorted(fields.items()) if v is not None]])
 
 
 def _emit(records, fmt: str) -> int:
-    """Print each record's ``fmt`` side that is not None; return the exit code."""
-    while True:
-        try:
-            kind, fields, text = next(records)
-        except StopIteration as done:
-            return done.value
-        if fmt == "machine":
-            text = None if kind is None else _machine_record(kind, **fields)
-        if text is not None:
-            print(text)
+    """Print each record's ``fmt`` side that is not None; return the exit code.
+
+    The lines go to stdout in one write, made also when the records stop
+    on an error, so that the lines yielded before it are printed."""
+    lines = []
+    try:
+        while True:
+            try:
+                kind, fields, text = next(records)
+            except StopIteration as done:
+                return done.value
+            if fmt == "machine":
+                text = None if kind is None else _machine_record(kind, fields)
+            if text is not None:
+                lines.append(text)
+    finally:
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _read_problem(path: str):

@@ -32,6 +32,10 @@ class QuandleElement:
         if self.tail.letters and fg.letter_generator(self.tail.letters[0]) == self.axis:
             raise ValueError("tail starts with the axis letter; not canonical")
 
+    def __hash__(self) -> int:
+        # as Word.__hash__: the letters decide, in one frame
+        return hash((self.axis, self.tail.letters))
+
     @property
     def alphabet(self) -> Alphabet:
         return self.tail.alphabet
@@ -163,10 +167,11 @@ def parse_element(alphabet: Alphabet, text: str) -> QuandleElement:
 
 def format_element(e: QuandleElement) -> str:
     """Inverse of :func:`parse_element`: bare axis or ``x^(w)``."""
-    name = e.alphabet.names[e.axis]
-    if e.tail.is_identity():
+    tail = e.tail
+    name = tail.alphabet.names[e.axis]
+    if not tail.letters:
         return name
-    return f"{name}^({fg.format_word(e.tail)})"
+    return f"{name}^({fg.format_word(tail)})"
 
 
 def random_element(alphabet: Alphabet, max_tail_len: int, rng: random.Random) -> QuandleElement:

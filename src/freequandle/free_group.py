@@ -8,11 +8,20 @@ This module owns that encoding and the one reduction loop.  Other modules
 build and read letters with :func:`letter` and :func:`letter_generator`,
 and work on reduced letter tuples through :func:`reduced_product`,
 :func:`inverse`, :func:`conjugate_word` and :func:`cancellation_depth`.
+:class:`Alphabet` also holds the encoding's letter tables, built once per
+alphabet: the set of valid letters, each letter's spelling for
+:func:`format_word`, and the spellings read back as tokens for
+:func:`parse_word`.  So :class:`Word` checks its letters with set
+operations (``issuperset`` of the valid letters, and no zero among the
+sums of adjacent letters), and loops per letter only to name the first
+bad one in its error.
 The documented fork is in the hot loops, where a call per pair trial or per
 letter of a trie walk would dominate the running time.
 ``subquandle._new_elements`` inlines its depth scan (``-gw[c]``), one scan
 of the common suffix per pair for both eps (7,486 pairs, 13,643 trials for
-``{x^(y), y}`` at L = 6), and the trie walks read the encoding inline:
+``{x^(y), y}`` at L = 6), and ``subquandle._acting_words`` builds both
+acting words of an element around one inverse (``axis + 1``).  The trie
+walks read the encoding inline:
 ``conj_quandle.shrink_index`` (``e.axis + 1``), ``conj_quandle.shrinkers``
 (``abs(lt)`` and the sign of ``lt``), ``subquandle._candidates``
 (``axis + 1``, ``abs(key) - 1``) and ``subquandle._acted_on_near_bound``
@@ -23,6 +32,7 @@ count ``size_within`` (``-lt``, and ``lt > 0`` for a loop's letter).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -52,6 +62,9 @@ class Alphabet:
 
     names: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _letters: frozenset[int] = field(init=False, repr=False, compare=False)
+    _spelling: dict[int, str] = field(init=False, repr=False, compare=False)
+    _tokens: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.names:
@@ -64,6 +77,15 @@ class Alphabet:
             if name == "1" or "(" in name or ")" in name or name.startswith("#"):
                 raise ValueError(f"reserved characters in generator name {name!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        # the letter tables: a Word's valid letters, and the spelling of
+        # each letter, which parse_word reads back as a token
+        spelling = {}
+        for i, name in enumerate(self.names):
+            spelling[letter(i, 1)] = name
+            spelling[letter(i, -1)] = name + "^-1"
+        object.__setattr__(self, "_letters", frozenset(spelling))
+        object.__setattr__(self, "_spelling", spelling)
+        object.__setattr__(self, "_tokens", {tok: lt for lt, tok in spelling.items()})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -118,13 +140,18 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        n = len(self.alphabet)
-        for lt in self.letters:
-            if lt == 0 or abs(lt) > n:
-                raise InvalidLetter(f"letter {lt} out of bounds for {n} generators")
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == -b:
-                raise ValueError(f"word {self.letters} is not reduced")
+        letters = self.letters
+        if not self.alphabet._letters.issuperset(letters):
+            n = len(self.alphabet)
+            for lt in letters:  # name the first bad letter
+                if lt == 0 or abs(lt) > n:
+                    raise InvalidLetter(f"letter {lt} out of bounds for {n} generators")
+        if 0 in map(operator.add, letters, letters[1:]):  # an adjacent a, -a
+            raise ValueError(f"word {letters} is not reduced")
+
+    def __hash__(self) -> int:
+        # equal words have equal letters; one frame, not one per dataclass
+        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -193,25 +220,27 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     tokens = text.split()
     if tokens == ["1"]:
         return Word(alphabet)
-    raw = []
-    for tok in tokens:
-        if "^" in tok:
-            name, _, exp = tok.partition("^")
-            if exp != "-1":
-                raise MalformedExponent(f"expected ^-1 in token {tok!r}")
-            sign = -1
-        else:
-            name, sign = tok, 1
-        raw.append(letter(alphabet.index(name), sign))
-    return reduce(alphabet, raw)
+    table = alphabet._tokens
+    # letters are nonzero: a token missing from the table goes to _token_letter
+    return reduce(alphabet, [table.get(tok) or _token_letter(alphabet, tok)
+                             for tok in tokens])
+
+
+def _token_letter(alphabet: Alphabet, tok: str) -> int:
+    """The letter of one token, by its grammar; names what is wrong with a
+    token that is not in the alphabet's table."""
+    if "^" in tok:
+        name, _, exp = tok.partition("^")
+        if exp != "-1":
+            raise MalformedExponent(f"expected ^-1 in token {tok!r}")
+        sign = -1
+    else:
+        name, sign = tok, 1
+    return letter(alphabet.index(name), sign)
 
 
 def format_word(w: Word) -> str:
     """Inverse of :func:`parse_word`; the empty word prints as ``1``."""
     if not w.letters:
         return "1"
-    parts = []
-    for lt in w.letters:
-        name = w.alphabet.names[letter_generator(lt)]
-        parts.append(name if lt > 0 else name + "^-1")
-    return " ".join(parts)
+    return " ".join(map(w.alphabet._spelling.__getitem__, w.letters))

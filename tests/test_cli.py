@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import random
 import sys
 
@@ -97,6 +98,45 @@ class TestClosure:
         plain = run(capsys, "closure", problem_file, "--max-tail-len", "2")
         assert plain[0] == 0
         assert run(capsys, "closure", str(path), "--max-tail-len", "2") == plain
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestEmit:
+    @pytest.mark.parametrize("fmt, lines", [("text", "  x\n  y\n"),
+                                            ("machine", "kind=element\tvalue=x\n"
+                                                        "kind=element\tvalue=y\n")])
+    def test_records_before_an_error_are_printed(self, capsys, monkeypatch,
+                                                 problem_file, fmt, lines):
+        def failing(args):
+            yield "element", {"value": "x"}, "  x"
+            yield "element", {"value": "y"}, "  y"
+            raise ValueError("no third record")
+
+        monkeypatch.setattr(cli, "cmd_closure", failing)
+        code, out, err = run(capsys, "closure", problem_file, "--format", fmt)
+        assert (code, out, err) == (2, lines, "error: no third record\n")
+
+    def test_one_write_per_command(self, monkeypatch, problem_file):
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["closure", problem_file, "--max-tail-len", "2"]) == 0
+        assert stdout.writes == 1 and stdout.getvalue().count("\n") == 19
+
+    def test_no_stdout_record_writes_nothing(self, capsys, monkeypatch, problem_file):
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["express", problem_file, "x^(y y y)", "--max-tail-len", "2"]) == 1
+        assert stdout.writes == 0
+        assert capsys.readouterr().err == "error: x^(y y y) not found in closure at bound 2\n"
 
 
 class TestElementBudget:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle.errors import AlphabetMismatch, InvalidLetter, MalformedExponent, UnknownGenerator
 from freequandle.free_group import Alphabet, Word
@@ -151,3 +152,104 @@ class TestAlphabet:
 
     def test_index(self):
         assert XY.index("y") == 1
+
+
+# the word paths as they were before the alphabet's letter tables, verbatim,
+# as the reference for the table-driven ones
+def old_word_checks(alphabet, letters):
+    n = len(alphabet)
+    for lt in letters:
+        if lt == 0 or abs(lt) > n:
+            raise InvalidLetter(f"letter {lt} out of bounds for {n} generators")
+    for a, b in zip(letters, letters[1:]):
+        if a == -b:
+            raise ValueError(f"word {letters} is not reduced")
+
+
+def old_parse_word(alphabet, text):
+    tokens = text.split()
+    if tokens == ["1"]:
+        return Word(alphabet)
+    raw = []
+    for tok in tokens:
+        if "^" in tok:
+            name, _, exp = tok.partition("^")
+            if exp != "-1":
+                raise MalformedExponent(f"expected ^-1 in token {tok!r}")
+            sign = -1
+        else:
+            name, sign = tok, 1
+        raw.append(fg.letter(alphabet.index(name), sign))
+    return fg.reduce(alphabet, raw)
+
+
+def old_format_word(w):
+    if not w.letters:
+        return "1"
+    parts = []
+    for lt in w.letters:
+        name = w.alphabet.names[fg.letter_generator(lt)]
+        parts.append(name if lt > 0 else name + "^-1")
+    return " ".join(parts)
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+XYZ = Alphabet(("x", "y", "z"))
+alphabets = st.sampled_from([Alphabet(("x",)), XY, XYZ])
+raw_letters = st.lists(st.integers(-4, 4), max_size=8).map(tuple)
+tokens = st.sampled_from(["x", "y", "x^-1", "y^-1", "x^-2", "x^", "^-1", "w", "1"])
+
+
+class TestAgainstOldLoops:
+    @given(alphabets, raw_letters)
+    def test_word_checks(self, alphabet, letters):
+        # 0, out-of-range and adjacent-inverse letters, in any mix
+        old = outcome(old_word_checks, alphabet, letters)
+        new = outcome(Word, alphabet, letters)
+        if old is None:
+            assert new.letters == letters
+        else:
+            assert new == old
+
+    def test_word_check_messages(self):
+        for letters in [(0,), (1, 3), (3, 0), (1, -1), (2, 1, -1), (1, -1, 5)]:
+            old = outcome(old_word_checks, XY, letters)
+            assert old is not None and outcome(Word, XY, letters) == old
+
+    @given(st.lists(tokens, max_size=6), st.sampled_from([" ", "  ", "\t"]))
+    def test_parse_word(self, toks, sep):
+        # valid, unreduced, x^-2, x^, unknown-name and 1 tokens
+        text = sep.join(toks)
+        assert outcome(fg.parse_word, XY, text) == outcome(old_parse_word, XY, text)
+
+    def test_parse_word_errors(self):
+        for text in ["x^-2", "x^", "^-1", "w", "x 1", "1 1", "x y^-1 z", "x^-1^-1"]:
+            old = outcome(old_parse_word, XY, text)
+            assert isinstance(old, tuple) and outcome(fg.parse_word, XY, text) == old
+        assert fg.parse_word(XY, " 1 ") == Word(XY) == old_parse_word(XY, "1")
+
+    @given(alphabets, st.data())
+    def test_format_word(self, alphabet, data):
+        n = len(alphabet)
+        raw = data.draw(st.lists(st.sampled_from([*range(-n, 0), *range(1, n + 1)]),
+                                 max_size=10))
+        u = fg.reduce(alphabet, raw)
+        assert fg.format_word(u) == old_format_word(u)
+
+    @given(words)
+    def test_hash_and_equality(self, word):
+        letters = word.letters
+        u, v = Word(XY, letters), Word(Alphabet(("x", "y")), letters)
+        assert u == v and hash(u) == hash(v)
+        assert Word(XYZ, letters) != u
+        if letters and abs(letters[0]) != 1:
+            e = cq.QuandleElement(0, u)
+            assert e == cq.QuandleElement(0, v) and hash(e) == hash(cq.QuandleElement(0, v))
+            assert cq.QuandleElement(0, Word(XYZ, letters)) != e

@@ -153,3 +153,22 @@ class TestPaperPath:
             built.clear()
             assert cli.main(["basis", str(path), "--max-tail-len", "6", *extra]) == 0
             assert built == ([8] if stability else [])
+
+    @pytest.mark.parametrize("extra", [[], ["--check-stability"], ["--max-elements", "5000"],
+                                       ["--check-stability", "--max-elements", "5000"]])
+    def test_basis_command_folds_once(self, monkeypatch, tmp_path, capsys, extra):
+        # the budget count, the basis, the L + 2 count and compute_S all
+        # read one fold of the input generators (2 to 4 before)
+        folds = []
+        real = SubquandleGraph.__init__
+
+        def counting(self, elements):
+            folds.append(self)
+            real(self, elements)
+
+        monkeypatch.setattr(SubquandleGraph, "__init__", counting)
+        path = tmp_path / "problem.txt"
+        path.write_text("alphabet: x y\nx^(y)\ny\n")
+        assert cli.main(["basis", str(path), "--max-tail-len", "4", *extra]) == 0
+        assert "certified free basis" in capsys.readouterr().out
+        assert len(folds) == 1
