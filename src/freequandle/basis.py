@@ -27,7 +27,7 @@ from .subquandle import (
     ClosureSet,
     QuandleTerm,
     _checked_generators,
-    _size,
+    check_size,
     closure,
     express,
 )
@@ -74,22 +74,24 @@ def is_shrinkable(w: Word, axis: int, c: ClosureSet) -> Optional[ShrinkMove]:
     The first move of a scan over the closure elements in insertion order,
     eps -1 before +1: the least hit of w in the closure's shrink index (see
     :func:`conj_quandle.shrinkers`).  Equal-length results cannot occur (odd
-    group words flip tail parity).
+    group words flip tail parity).  Of the closure, only the shrinking
+    element is wrapped.
     """
     hit = min(shrinkers(c.shrink_index, w.letters), default=None)
     if hit is None:
         return None
-    k, eps = hit
-    target, q = QuandleElement(axis, w), c.elements[k]
+    (k, eps), target = hit, QuandleElement(axis, w)
+    q = QuandleElement(c.raw[k][0], Word(c.alphabet, c.raw[k][1]))
     return ShrinkMove(target, q, eps, act(target, q, eps))
 
 
 def compute_T(axis: int, c: ClosureSet) -> list[Word]:
     """Closure tails on the given axis that no closure element can shorten:
-    those with no hit in the closure's shrink index, so no move is built."""
+    those with no hit in the closure's shrink index, so no move is built.
+    It reads c's raw elements and wraps only the tails it keeps."""
     index = c.shrink_index
-    return [e.tail for e in c.elements if e.axis == axis
-            and next(shrinkers(index, e.tail.letters), None) is None]
+    return [Word(c.alphabet, t) for a, t in c.raw if a == axis
+            and next(shrinkers(index, t), None) is None]
 
 
 def _tail_filter(c: ClosureSet) -> tuple[QuandleElement, ...]:
@@ -120,10 +122,9 @@ def paper_closure(gens, bound: int = DEFAULT_BOUND,
     are raised up front (:func:`subquandle.check_size`); with ``whole``
     false, the budget binds only the prefix, as it grows.  The generators
     are folded once, and the prefix keeps the graph for :func:`compute_S`."""
-    gens = _checked_generators(gens, bound, max_elements if whole else None)
-    graph = SubquandleGraph(gens)
-    if whole and max_elements is not None:
-        _size(graph, bound, max_elements)
+    graph = SubquandleGraph(_checked_generators(gens, bound, max_elements if whole else None)[0])
+    if whole:
+        check_size(graph, bound, max_elements)
     return closure(graph, bound, max_elements, stop_when_contains=graph.basis())
 
 
@@ -170,8 +171,8 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     witness re-closure) inherit c's element budget.
     """
     basis = c.graph.basis()
-    # a stable sort: closure order within each axis
-    candidate = tuple(sorted((e for e in c.elements if e in basis), key=lambda e: e.axis))
+    at = {(e.axis, c.index[e.axis, e.tail.letters]): e for e in basis if e in c}
+    candidate = tuple(at[k] for k in sorted(at))  # axis by axis, then closure order
     if len(candidate) < len(basis):
         absent = ", ".join(sorted(map(str, basis.difference(candidate))))
         raise NotInClosure(f"the closure at bound L = {c.bound} lacks the basis "

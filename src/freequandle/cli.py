@@ -124,7 +124,7 @@ def cmd_closure(args):
     c = sq.closure(gens, args.max_tail_len, _budget(args))
     yield ("closure", {"bound": c.bound, "size": len(c)},
            f"closure size {len(c)} at bound L = {c.bound}")
-    for e in map(str, c.elements):
+    for e in [cq.spell_element(c.alphabet, axis, tail) for axis, tail in c.raw]:
         yield "element", {"value": e}, f"  {e}"
     return 0
 
@@ -207,9 +207,9 @@ def cmd_express(args):
     bound, budget = args.max_tail_len, args.max_elements
     if len(e.tail) > bound:  # not in the closure: only check the generators
         sq.closure(gens, bound, budget, stop_when_contains=[])
-    elif not SubquandleGraph(gens).member(e):
+    elif not (graph := SubquandleGraph(gens)).member(e):
         # nor is a non-member (F4): raise the whole closure's errors up front
-        sq.check_size(gens, bound, budget)
+        sq.check_size(graph, bound, budget)
     else:
         # a prefix of the full closure with the same derivations, so the
         # same term

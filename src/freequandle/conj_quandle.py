@@ -99,15 +99,16 @@ def act(a: QuandleElement, q: QuandleElement, eps: int = RIGHT) -> QuandleElemen
 
 
 def shrink_index(elements) -> tuple[dict, dict]:
-    """A trie of the elements' reversed tails for :func:`shrinkers`.  A node
-    is ``(children by letter, {y + 1: least k})`` over the ``elements[k] =
-    y^u`` whose reversed tail ends at it."""
+    """A trie of the elements' reversed tails for :func:`shrinkers`, over
+    canonical elements given as ``(axis, tail letters)`` pairs, as a
+    closure holds them.  A node is ``(children by letter, {y + 1: least
+    k})`` over the ``elements[k] = y^u`` whose reversed tail ends at it."""
     root: tuple[dict, dict] = ({}, {})
-    for k, e in enumerate(elements):
+    for k, (axis, tail) in enumerate(elements):
         node = root
-        for lt in reversed(e.tail.letters):
+        for lt in reversed(tail):
             node = node[0].setdefault(lt, ({}, {}))
-        node[1].setdefault(e.axis + 1, k)
+        node[1].setdefault(axis + 1, k)
     return root
 
 
@@ -167,11 +168,15 @@ def parse_element(alphabet: Alphabet, text: str) -> QuandleElement:
 
 def format_element(e: QuandleElement) -> str:
     """Inverse of :func:`parse_element`: bare axis or ``x^(w)``."""
-    tail = e.tail
-    name = tail.alphabet.names[e.axis]
-    if not tail.letters:
-        return name
-    return f"{name}^({fg.format_word(tail)})"
+    return spell_element(e.alphabet, e.axis, e.tail.letters)
+
+
+def spell_element(alphabet: Alphabet, axis: int, letters: tuple[int, ...]) -> str:
+    """:func:`format_element` of the canonical ``axis^letters`` over
+    ``alphabet``, for callers that hold an element's letters, not the
+    element; its tail is spelled by :meth:`free_group.Alphabet.spell`."""
+    name = alphabet.names[axis]
+    return f"{name}^({alphabet.spell(letters)})" if letters else name
 
 
 def random_element(alphabet: Alphabet, max_tail_len: int, rng: random.Random) -> QuandleElement:

@@ -9,20 +9,22 @@ build and read letters with :func:`letter` and :func:`letter_generator`,
 and work on reduced letter tuples through :func:`reduced_product`,
 :func:`inverse`, :func:`conjugate_word` and :func:`cancellation_depth`.
 :class:`Alphabet` also holds the encoding's letter tables, built once per
-alphabet: the set of valid letters, each letter's spelling for
-:func:`format_word`, and the spellings read back as tokens for
-:func:`parse_word`.  So :class:`Word` checks its letters with set
-operations (``issuperset`` of the valid letters, and no zero among the
-sums of adjacent letters), and loops per letter only to name the first
-bad one in its error.
+alphabet: the set of valid letters, each letter's spelling, and the
+spellings read back as tokens for :func:`parse_word`.  So :class:`Word`
+checks its letters with set operations (``issuperset`` of the valid
+letters, and no zero among the sums of adjacent letters), and loops per
+letter only to name the first bad one in its error.  :meth:`Alphabet.spell`
+is the one reader of the spelling table: :func:`format_word`,
+``conj_quandle.format_element`` and ``conj_quandle.spell_element``, which
+``cli.cmd_closure`` calls on a closure's raw elements, all spell through it.
 The documented fork is in the hot loops, where a call per pair trial or per
 letter of a trie walk would dominate the running time.
 ``subquandle._new_elements`` inlines its depth scan (``-gw[c]``), one scan
 of the common suffix per pair for both eps (7,486 pairs, 13,643 trials for
 ``{x^(y), y}`` at L = 6), and ``subquandle._acting_words`` builds both
 acting words of an element around one inverse (``axis + 1``).  The trie
-walks read the encoding inline:
-``conj_quandle.shrink_index`` (``e.axis + 1``), ``conj_quandle.shrinkers``
+walks read the encoding inline: ``conj_quandle.shrink_index``
+(``axis + 1`` of its ``(axis, letters)`` pairs), ``conj_quandle.shrinkers``
 (``abs(lt)`` and the sign of ``lt``), ``subquandle._candidates``
 (``axis + 1``, ``abs(key) - 1``) and ``subquandle._acted_on_near_bound``
 (``axis + 1``).  So do the folded graph's reads in :mod:`stallings`:
@@ -89,6 +91,12 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    def spell(self, letters: tuple[int, ...]) -> str:
+        """The word grammar's spelling of reduced letters, read off the
+        spelling table: the one spelling of letters, which
+        :func:`format_word` and :func:`conj_quandle.spell_element` share."""
+        return " ".join(map(self._spelling.__getitem__, letters)) if letters else "1"
 
     def index(self, name: str) -> int:
         try:
@@ -241,6 +249,4 @@ def _token_letter(alphabet: Alphabet, tok: str) -> int:
 
 def format_word(w: Word) -> str:
     """Inverse of :func:`parse_word`; the empty word prints as ``1``."""
-    if not w.letters:
-        return "1"
-    return " ".join(map(w.alphabet._spelling.__getitem__, w.letters))
+    return w.alphabet.spell(w.letters)

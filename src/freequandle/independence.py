@@ -63,7 +63,7 @@ def check_significant_factors(elements) -> IndependenceReport:
 
 def _failing_pairs(elements):
     """Failing products elements[a] · elements[b] as (a, b), the least among them."""
-    index = shrink_index(elements)
+    index = shrink_index([(e.axis, e.tail.letters) for e in elements])
     for k, e in enumerate(elements):
         for j, eps in shrinkers(index, e.tail.letters):
             yield (j, k) if eps == -1 else (k, j)

@@ -55,19 +55,25 @@ class QuandleTerm:
         return f"({self.left} {op} {self.right})"
 
 
-Derivation = tuple[QuandleElement, QuandleElement, int]  # (a, q, eps)
-
-
 @dataclass(frozen=True)
 class ClosureSet:
     """Deterministic bounded closure with one derivation per non-generator,
     built under a tail bound and an element budget (None: none) that the
-    closures ``basis`` derives from it inherit."""
+    closures ``basis`` derives from it inherit.
+
+    It keeps the enumeration as :func:`_new_elements` left it: element k
+    is ``raw[k] = (axis, tail letters)``, the generators first, and
+    element ``len(generators) + m`` is ``act(raw[i], raw[j], eps)`` for
+    ``steps[m] = (i, j, eps)``.  The objects are built only where a caller
+    asks for them: :attr:`elements` wraps every element in a validated
+    :class:`QuandleElement` on first use, and :attr:`derivations` reads
+    them; the CLI spells, filters, indexes and expresses the raw elements.
+    """
 
     generators: tuple[QuandleElement, ...]
     bound: int
-    elements: tuple[QuandleElement, ...]
-    derivations: dict[QuandleElement, Derivation]
+    raw: tuple[RawElement, ...]
+    steps: tuple[tuple[int, int, int], ...]
     max_elements: Optional[int] = None
 
     @property
@@ -75,18 +81,33 @@ class ClosureSet:
         return self.generators[0].alphabet
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.raw)
 
     def __contains__(self, e: QuandleElement) -> bool:
         """Bounded membership: False means "not found within bound", not a proof."""
         if e.alphabet != self.alphabet:
             raise AlphabetMismatch("element from a different alphabet")
-        return e in self.derivations or e in self.generators
+        return (e.axis, e.tail.letters) in self.index
+
+    @cached_property
+    def elements(self) -> tuple[QuandleElement, ...]:
+        return tuple([QuandleElement(a, Word(self.alphabet, t)) for a, t in self.raw])
+
+    @cached_property
+    def derivations(self) -> dict[QuandleElement, tuple[QuandleElement, QuandleElement, int]]:
+        """Each non-generator's derivation ``(a, q, eps)``: it is ``act(a, q, eps)``."""
+        el, n = self.elements, len(self.generators)
+        return {el[n + m]: (el[i], el[j], eps) for m, (i, j, eps) in enumerate(self.steps)}
+
+    @cached_property
+    def index(self) -> dict[RawElement, int]:
+        """Each raw element's position, built on first use."""
+        return dict(zip(self.raw, range(len(self.raw))))
 
     @cached_property
     def shrink_index(self) -> tuple[dict, dict]:
-        """:func:`conj_quandle.shrink_index` of the elements, built on first use."""
-        return cq.shrink_index(self.elements)
+        """:func:`conj_quandle.shrink_index` of the raw elements, built on first use."""
+        return cq.shrink_index(self.raw)
 
     @cached_property
     def graph(self) -> SubquandleGraph:
@@ -347,14 +368,16 @@ def _new_elements(elements: list[RawElement], bound: int,
                         return
 
 
-def _checked_generators(gens, bound: int, max_elements: Optional[int]) -> list[QuandleElement]:
+def _checked_generators(gens, bound: int, max_elements: Optional[int]):
     """gens deduplicated, after the checks :func:`closure` makes before it
     enumerates, the budget last: a budget below 1, or below the number of
-    generators, raises :class:`ClosureTooLarge`."""
+    generators, raises :class:`ClosureTooLarge`.  ``gens`` may also be
+    their folded graph; it is returned second, or else None."""
+    graph = gens if isinstance(gens, SubquandleGraph) else None
     if max_elements is not None and max_elements < 1:
         raise ClosureTooLarge(
             f"the element budget of {max_elements} holds no closure; it must be at least 1")
-    gens = list(dict.fromkeys(gens))
+    gens = list(dict.fromkeys(graph.generators if graph else gens))
     if not gens:
         raise EmptyGeneratorSet("closure needs at least one generator")
     alphabet = gens[0].alphabet
@@ -362,12 +385,10 @@ def _checked_generators(gens, bound: int, max_elements: Optional[int]) -> list[Q
         if g.alphabet != alphabet:
             raise AlphabetMismatch("generators come from different alphabets")
         if len(g.tail) > bound:
-            raise BoundTooSmall(
-                f"generator {g} has tail length {len(g.tail)} > bound {bound}"
-            )
+            raise BoundTooSmall(f"generator {g} has tail length {len(g.tail)} > bound {bound}")
     if max_elements is not None and len(gens) > max_elements:
         raise _too_large(bound, len(gens), max_elements)
-    return gens
+    return gens, graph
 
 
 def _too_large(bound: int, size: int, max_elements: int) -> ClosureTooLarge:
@@ -376,20 +397,19 @@ def _too_large(bound: int, size: int, max_elements: int) -> ClosureTooLarge:
         f"elements, over the element budget of {max_elements}")
 
 
-def check_size(gens, bound: int = DEFAULT_BOUND,
-               max_elements: Optional[int] = None) -> list[QuandleElement]:
+def check_size(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None) -> None:
     """Raise every error of ``closure(gens, bound, max_elements)`` without
-    enumerating, in the same order, and return the deduplicated generators.
+    enumerating, in the same order.
 
     The closure's size is counted on the generators' folded graph
     (:meth:`stallings.SubquandleGraph.size_within`, exact by F4), so a
     closure over the budget raises what enumerating would have raised at
-    element ``max_elements + 1``.
+    element ``max_elements + 1``.  As for :func:`closure`, ``gens`` may
+    also be that graph, so that a caller who has it folds them once.
     """
-    gens = _checked_generators(gens, bound, max_elements)
+    gens, graph = _checked_generators(gens, bound, max_elements)
     if max_elements is not None:
-        _size(SubquandleGraph(gens), bound, max_elements)
-    return gens
+        _size(graph or SubquandleGraph(gens), bound, max_elements)
 
 
 def _size(graph: SubquandleGraph, bound: int, max_elements: Optional[int]) -> int:
@@ -426,25 +446,22 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
     who has it folds them once: the size is then counted on it, and the
     set keeps it as its :attr:`ClosureSet.graph`.
     """
-    graph = gens if isinstance(gens, SubquandleGraph) else None
-    gens = _checked_generators(graph.generators if graph else gens, bound, max_elements)
+    gens, graph = _checked_generators(gens, bound, max_elements)
     size = None
     if stop_when_contains is None:
         graph = graph or SubquandleGraph(gens)
         size = _size(graph, bound, max_elements)
-    alphabet = gens[0].alphabet
     elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
-    derivations: list[tuple[int, int, int]] = []  # of elements[len(gens):]
+    steps: list[tuple[int, int, int]] = []  # of elements[len(gens):]
 
     missing = None
     if stop_when_contains is not None:
         stop = list(stop_when_contains)
-        if any(e.alphabet != alphabet for e in stop):
-            raise AlphabetMismatch("stop targets and generators come from different alphabets")
+        fg.one_alphabet([gens[0], *stop], "stop targets and generators")
         missing = {(e.axis, e.tail.letters) for e in stop} - set(elements)
     if missing != set():
         for d in _new_elements(elements, bound, size):
-            derivations.append(d)
+            steps.append(d)
             if max_elements is not None and len(elements) > max_elements:
                 raise _too_large(bound, len(elements), max_elements)
             if missing is not None:
@@ -452,31 +469,29 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
                 if not missing:
                     break
 
-    # a list builds faster than a generator
-    wrapped = tuple([QuandleElement(a, Word(alphabet, t)) for a, t in elements])
-    deriv = {
-        wrapped[k]: (wrapped[i], wrapped[j], eps)
-        for k, (i, j, eps) in enumerate(derivations, len(gens))
-    }
-    c = ClosureSet(tuple(gens), bound, wrapped, deriv, max_elements)
+    c = ClosureSet(tuple(gens), bound, tuple(elements), tuple(steps), max_elements)
     if graph is not None:
         object.__setattr__(c, "graph", graph)  # the cached property, already built
     return c
 
 
 def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
-    """A term over c.generators evaluating to e, replayed before returning."""
-    memo = {g: QuandleTerm(leaf=i) for i, g in enumerate(c.generators)}
+    """A term over c.generators evaluating to e, replayed before returning.
 
-    def build(elt: QuandleElement) -> QuandleTerm:
-        if elt not in memo:
-            if elt not in c.derivations:
-                raise NotInClosure(f"{elt} is not in the closure")
-            a, q, eps = c.derivations[elt]
-            memo[elt] = QuandleTerm(eps, build(a), build(q))
-        return memo[elt]
+    The term is built by walking c's steps back from e's index, so no
+    element of c is wrapped; the replay builds the elements it evaluates.
+    """
+    if e.alphabet != c.alphabet or e not in c:
+        raise NotInClosure(f"{e} is not in the closure")
+    memo = {i: QuandleTerm(leaf=i) for i in range(len(c.generators))}
 
-    term = build(e)
+    def build(k: int) -> QuandleTerm:
+        if k not in memo:
+            i, j, eps = c.steps[k - len(c.generators)]
+            memo[k] = QuandleTerm(eps, build(i), build(j))
+        return memo[k]
+
+    term = build(c.index[e.axis, e.tail.letters])
     if term.evaluate(c.generators) != e:
         raise WitnessNotFound(f"derivation term {term} does not replay to {e}")
     return term

@@ -100,6 +100,55 @@ class TestClosure:
         assert run(capsys, "closure", str(path), "--max-tail-len", "2") == plain
 
 
+class TestRawElements:
+    """The closure keeps the kernel's raw elements: the CLI spells, indexes
+    and expresses them without building an object per element."""
+
+    @staticmethod
+    def closure_lines(capsys, tmp_path, c):
+        path = tmp_path / "p.txt"
+        path.write_text(f"alphabet: {' '.join(c.alphabet.names)}\n"
+                        + "".join(f"{g}\n" for g in c.generators))
+        code, out, err = run(capsys, "closure", str(path), "--max-tail-len", str(c.bound))
+        assert (code, err) == (0, "")
+        return out.splitlines()[1:]
+
+    def test_element_lines_spell_the_elements(self, capsys, tmp_path, corpus_closures,
+                                              baseline_closures):
+        spelled = []
+        for c in [c for _, c in corpus_closures] + baseline_closures:
+            lines = self.closure_lines(capsys, tmp_path, c)
+            assert lines == [f"  {e}" for e in c.elements]
+            spelled += lines
+        # bare generators, and tails with inverse letters, are among them
+        assert "  x" in spelled and "  y" in spelled
+        assert any("^-1" in ln for ln in spelled)
+
+    @pytest.mark.parametrize("argv, most", [
+        # the two parsed generators only, where the closure has 1,458 elements
+        (["closure"], 2),
+        # and the basis's two loop elements, read twice, and one replayed act
+        (["basis"], 7),
+        # and the L + 2 tail filter's two
+        (["basis", "--check-stability"], 9),
+        # and the parsed element, and the term's replayed acts
+        (["express", "y^(x y)"], 4),
+        (["express", "x^(y x^-1 y^-1 x y)"], 6),
+    ])
+    def test_no_object_per_element(self, capsys, monkeypatch, problem_file, argv, most):
+        built = []
+        real = cq.QuandleElement.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(cq.QuandleElement, "__post_init__", counting)
+        command, *rest = argv
+        assert run(capsys, command, problem_file, *rest, "--max-tail-len", "6")[0] == 0
+        assert len(built) <= most
+
+
 class _CountingStdout(io.StringIO):
     def __init__(self):
         super().__init__()

@@ -172,3 +172,27 @@ class TestPaperPath:
         assert cli.main(["basis", str(path), "--max-tail-len", "4", *extra]) == 0
         assert "certified free basis" in capsys.readouterr().out
         assert len(folds) == 1
+
+    @pytest.mark.parametrize("extra, outcome", [
+        ([], (1, "error: x^(y y) not found in closure at bound 4\n")),
+        (["--max-elements", "1000"], (1, "error: x^(y y) not found in closure at bound 4\n")),
+        # the budget's errors come as before: here the generators' count
+        (["--max-elements", "1"], (2, "error: closure at bound L = 4 reached 2 elements, "
+                                      "over the element budget of 1\n")),
+    ])
+    def test_express_non_member_folds_once(self, monkeypatch, tmp_path, capsys, extra,
+                                           outcome):
+        # membership and the budget count read one fold (2 with a budget before)
+        folds = []
+        real = SubquandleGraph.__init__
+
+        def counting(self, elements):
+            folds.append(self)
+            real(self, elements)
+
+        monkeypatch.setattr(SubquandleGraph, "__init__", counting)
+        path = tmp_path / "rigid.txt"
+        path.write_text("alphabet: x y\nx^(y)\nx^(y^-1)\n")
+        code = cli.main(["express", str(path), "x^(y y)", "--max-tail-len", "4", *extra])
+        assert (code, capsys.readouterr().err) == outcome
+        assert len(folds) == 1

@@ -404,10 +404,11 @@ class TestExpress:
         # the replay check is an explicit raise, so it also holds under -O
         c = sq.closure(els("x^(y)", "y"), 2)
         e = el("x")
-        a, q, eps = c.derivations[e]
-        assert cq.act(a, q, -eps) != e
-        corrupted = sq.ClosureSet(c.generators, c.bound, c.elements,
-                                  {**c.derivations, e: (a, q, -eps)})
+        m = c.index[e.axis, e.tail.letters] - len(c.generators)
+        i, j, eps = c.steps[m]
+        assert cq.act(c.elements[i], c.elements[j], -eps) != e
+        steps = (*c.steps[:m], (i, j, -eps), *c.steps[m + 1:])
+        corrupted = sq.ClosureSet(c.generators, c.bound, c.raw, steps)
         with pytest.raises(WitnessNotFound):
             sq.express(corrupted, e)
 
