@@ -25,11 +25,11 @@ of the common suffix per pair for both eps (7,486 pairs, 13,643 trials for
 acting words of an element around one inverse (``axis + 1``).  The trie
 walks read the encoding inline: ``conj_quandle.shrink_index``
 (``axis + 1`` of its ``(axis, letters)`` pairs), ``conj_quandle.shrinkers``
-(``abs(lt)`` and the sign of ``lt``), ``subquandle._candidates``
-(``axis + 1``, ``abs(key) - 1``) and ``subquandle._acted_on_near_bound``
-(``axis + 1``).  So do the folded graph's reads in :mod:`stallings`:
-``_Folding`` (``-lt``), ``SubquandleGraph`` (``axis + 1``) and its
-count ``size_within`` (``-lt``, and ``lt > 0`` for a loop's letter).
+(``abs(lt)`` and the sign of ``lt``) and ``subquandle._walk``
+(``axis + 1``, ``abs(key) - 1``).  So do the folded graph's reads in
+:mod:`stallings`: ``_Folding`` (``-lt``), ``SubquandleGraph``
+(``axis + 1``) and its count ``size_within`` (``-lt``, and ``lt > 0`` for
+a loop's letter).
 """
 
 from __future__ import annotations

@@ -68,6 +68,7 @@ walks.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from . import free_group as fg
@@ -196,14 +197,19 @@ class SubquandleGraph:
         p, k = fold.read(fold.find(0), fg.inverse(e.tail.letters))
         return k == len(e.tail) and (p, e.axis + 1) in self.loops
 
-    def basis(self) -> set[QuandleElement]:
+    def basis(self) -> frozenset[QuandleElement]:
         """The members no member shortens (F3): ``x^(w_p^-1)`` for each loop
         ``(p, x)``, where ``w_p`` labels the tree path from the base to p.
+        They are built once per graph.
 
         ``w_p`` is read off the loop's first element ``x^t``: the walk of
         ``t^-1`` reaches p, and with its loop crossings left out it is a
         walk in the tree, which reduces to the tree path.
         """
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> frozenset[QuandleElement]:
         fold = self.fold
         out, find = fold.out, fold.find
         base = find(0)
@@ -220,7 +226,7 @@ class SubquandleGraph:
                     path.append(lt)
                 v = t
             basis.add(QuandleElement(x - 1, Word(self.alphabet, fg.inverse(tuple(path)))))
-        return basis
+        return frozenset(basis)
 
     def size_within(self, bound: int, cap: Optional[int] = None) -> int:
         """The number of members with a tail of at most ``bound`` letters,

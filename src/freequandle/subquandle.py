@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from . import conj_quandle as cq
@@ -145,44 +146,67 @@ def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
                 node = children[tail[k - 1]] = [{}, []]
 
 
-def _candidates(root, elements: list[RawElement], axis: int, tail: tuple[int, ...],
-                bound: int, prev: int = 0) -> list[int]:
-    """Indices, from ``prev`` on, of the trie's elements that may act on
-    ``axis^tail`` within ``bound``, unordered; see :func:`_new_elements`.
-    ``tail`` must be filed.
+def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
+          bound: int, prev: int) -> tuple[list[int], list[int]]:
+    """One walk of the trie along ``u`` reversed, for the filed element
+    ``axis^u``: the indices of the trie's elements that may act on it
+    within ``bound``, sorted, and those below ``prev`` that it may act on,
+    unordered; see :func:`_new_elements`.
 
-    Below the node of ``tail`` it walks the runs ``x^k tail`` and
-    ``x^-k tail`` of the axis letter x while ``|tail| + k + 1 <= bound``.
-    At run depth k it takes ``t = x^k tail`` itself, and from each child off
-    the run the tails ``t = q x^k tail`` with
-    ``|tail| + k + 2|q| + 1 <= bound``, the exact length of the product.
-    At ``|tail| = bound`` it takes only the shrinks: of the elements ``a^t``
-    with ``t`` a proper suffix of ``tail``, those whose generator ``a`` is
-    that of the letter before ``t`` (:func:`conj_quandle.shrinkers`).
-    The walk collects index-ordered groups; with ``prev`` it skips each
-    group that ends below ``prev`` and bisects the rest.
+    Acted on: below the node of ``u`` it walks the runs ``x^k u`` and
+    ``x^-k u`` of the axis letter x while ``|u| + k + 1 <= bound``.  At run
+    depth k it takes ``t = x^k u`` itself, and from each child off the run
+    the tails ``t = q x^k u`` with ``|u| + k + 2|q| + 1 <= bound``, the
+    exact length of the product.  At ``|u| = bound`` it takes only the
+    shrinks: of the elements ``a^t`` with ``t`` a proper suffix of ``u``,
+    those whose generator ``a`` is that of the letter before ``t``
+    (:func:`conj_quandle.shrinkers`).
+
+    Acting on: the old ``x^v`` of :func:`_new_elements`' three cases, read
+    off the same nodes: the suffixes of ``u`` and the children off its path
+    on the way down, and the tails below the node of ``u`` at its end.
+    The trie's groups are index-ordered, so the old indices of each are a
+    prefix of it, cut at ``prev`` once.
     """
-    la = len(tail)
-    reach = (bound - la - 1) // 2  # most letters of t past the shared suffix
-    groups: list[list[int]] = []
+    lu = len(u)
+    reach = (bound - lu - 1) // 2  # most letters of t past the shared suffix
+    start = bound - 1 - lu  # a run x^k before v that strips enough starts here
+    groups, olds = [], []  # olds: the groups of v, yet to cut at prev
     node = root
-    for key in reversed(tail):
+    for s, key in enumerate(reversed(u)):  # s letters of u read
         children, by_len = node
+        here = by_len[0]
         if reach >= 0:
-            groups.append(by_len[0])  # t is a suffix of tail
-        else:  # |tail| = bound: only a shrink by the generator of key
+            groups.append(here)  # t is a suffix of u
+        else:  # |u| = bound: only a shrink by the generator of key
             a = abs(key) - 1
-            groups.append([j for j in by_len[0] if elements[j][0] == a])
-        if reach > 0:
+            groups.append([j for j in here if elements[j][0] == a])
+        back = bound - 1 - 2 * lu + s  # see :func:`_new_elements`
+        if back >= 0:  # v is a proper suffix of u = q x^k v, at any k
+            olds.append(here)
+        elif start >= 0 and u[start] == key and u[start:lu - s] == (key,) * -back:
+            a = abs(key) - 1  # k >= -back: u[start:] begins with x^-back v
+            olds.append([i for i in here if elements[i][0] == a])
+        if reach > 0 or back > 0:  # reach >= 0 here
             for lt, child in children.items():
                 if lt != key:
                     groups += child[1][:reach]
+                    if back > 0:
+                        olds += child[1][:back]
         node = children[key]
-    # tail is a suffix of t = q x^k tail; walk the runs x^k, x^-k
     x = axis + 1
-    run = [node]  # the nodes of x^k tail, one per sign once k > 0
-    for k in range(bound - la):  # |tail| + k + 1 <= bound
-        reach = (bound - la - k - 1) // 2  # most letters of q
+    if lu < bound:  # u is a suffix of v, and |v| < bound or a^±1 u ends v
+        olds += node[1][:bound - lu]
+        for child in filter(None, map(node[0].get, (x, -x))):
+            olds += child[1][bound - lu - 1:bound - lu]
+    old: list[int] = []
+    for group in olds:
+        if group and group[0] < prev:
+            old += group[:bisect_left(group, prev)]
+    # u is a suffix of t = q x^k u; walk the runs x^k, x^-k
+    run = [node]  # the nodes of x^k u, one per sign once k > 0
+    for k in range(bound - lu):  # |u| + k + 1 <= bound
+        reach = (bound - lu - k - 1) // 2  # most letters of q
         below = []
         for children, by_len in run:
             groups.append(by_len[0])  # q is empty
@@ -196,35 +220,9 @@ def _candidates(root, elements: list[RawElement], axis: int, tail: tuple[int, ..
         run = below
     out: list[int] = []
     for group in groups:
-        if group and group[-1] >= prev:
-            out += group[bisect_left(group, prev):] if prev else group
-    return out
-
-
-def _acted_on_near_bound(root, axis: int, u: tuple[int, ...], bound: int,
-                         prev: int) -> list[int]:
-    """Indices below ``prev`` of the trie's elements, with a tail of length
-    ``bound - 1`` or ``bound``, that ``axis^u`` may act on within ``bound``,
-    unordered; see :func:`_new_elements`.  ``u`` must be filed.
-
-    They are the tails of length ``bound`` that end in ``axis^±1 u`` and the
-    tails of length ``bound - 1`` that end in ``u``.
-    """
-    k = bound - 1 - len(u)  # both groups sit at this by_len index
-    if k < 0:
-        return []
-    node = root
-    for lt in reversed(u):
-        node = node[0][lt]
-    x = axis + 1
-    out: list[int] = []
-    for group_node in (node, node[0].get(x), node[0].get(-x)):
-        if group_node is not None and len(group_node[1]) > k:
-            for i in group_node[1][k]:  # in index order: the old ones come first
-                if i >= prev:
-                    break
-                out.append(i)
-    return out
+        out += group
+    out.sort()
+    return out, old
 
 
 def _new_elements(elements: list[RawElement], bound: int,
@@ -268,8 +266,24 @@ def _new_elements(elements: list[RawElement], bound: int,
     letter, so one scan of the common suffix serves both eps.  Where
     neither tail is a suffix of the other, the walk has already bounded
     the exact length of both products, so a product is measured only
-    where one tail is a suffix of the other.  An old i takes only the new
-    j, so :func:`_candidates` skips the groups of old indices.
+    where one tail is a suffix of the other.
+
+    Each round walks the trie once per new element, at its start
+    (:func:`_walk`), and old elements never walk again.  An old i pairs
+    only with the new j, so the walk of a new ``a^u`` also reads the bounds
+    above from the other side: it returns the old ``x^v`` that ``a^u`` may
+    act on within L.  With ``back = L - 1 - 2|u| + s`` at depth s, they are
+    the ``v`` that
+    - end in ``u``, with ``|v| <= L - 1``, or ``|v| = L`` and ``a^±1`` the
+      letter before ``u`` (the shrinks below);
+    - leave the suffix of ``u`` at depth s, with ``|v| - s <= back``, that
+      is ``|v| + 2(|u| - s) + 1 <= L``;
+    - are proper suffixes of ``u = q x^k v`` (``s = |v|``), with ``x^k`` the
+      longest run of ``x^±1`` before ``v`` and ``k >= -back``, that is
+      ``2|u| - |v| - k + 1 <= L``.
+    Each new i keeps its sorted candidates until its turn; each old i
+    takes, ascending, the new j whose walks found it, and an old i that
+    none found is skipped.
 
     Two kinds of trial are skipped, because they can only rediscover:
     ``j = i``, since ``act(e, e, ±1) = e``, and the eps that undoes i's own
@@ -285,19 +299,17 @@ def _new_elements(elements: list[RawElement], bound: int,
     built only for a new element.
 
     Near the bound fewer elements qualify.  At ``|tail| = L`` only a shrink
-    stays within L, so :func:`_candidates` keeps, of the ``a^t`` with ``t``
-    a proper suffix of ``tail``, those with ``a`` the generator of the
+    stays within L, so :func:`_walk` keeps, of the ``a^t`` with ``t`` a
+    proper suffix of ``tail``, those with ``a`` the generator of the
     letter before ``t``: a suffix hit with the wrong axis or sign has L + 1
     letters, every other product more, and ``t = tail`` gives
     ``elements[i]`` itself or L + 1 letters.  ``reach`` is negative there,
-    so no sibling candidate exists, and the runs are not walked.  At
+    so no sibling candidate exists, and the runs are not walked; ``back``
+    is negative at every depth, so such an element acts on no old one.  At
     ``|tail| = L - 1`` only the elements whose tail is a suffix of
     ``tail`` qualify: ``reach`` is 0, so no sibling candidate exists, and
     a run letter (k >= 1) leaves L + k letters, so no run candidate
-    exists.  An old near-bound i pairs only with new j, so each new
-    ``a^u`` with ``|u| < L`` looks up the old elements it acts on
-    (:func:`_acted_on_near_bound`), and an old near-bound i that none acts
-    on is skipped without a walk.
+    exists.
     """
     seen: dict[int, set] = {}  # axis -> the tails found on it
     for axis, tail in elements:
@@ -311,23 +323,17 @@ def _new_elements(elements: list[RawElement], bound: int,
         prev, done = done, len(elements)
         for j in range(prev, done):
             _trie_insert(trie, elements[j][1], j)
-        near: dict[int, list[int]] = {}  # old near-bound i -> its new j, ascending
-        for j in range(prev, done):
-            a, u = elements[j]
-            for i in _acted_on_near_bound(trie, a, u, bound, prev):
+        near: dict[int, list[int]] = {}  # old i -> its new j, ascending
+        forward = []  # each new i's candidates, sorted
+        for j, (a, u) in enumerate(elements[prev:done], prev):
+            candidates, acted_on = _walk(trie, elements, a, u, bound, prev)
+            forward.append(candidates)
+            for i in acted_on:
                 near.setdefault(i, []).append(j)
-        for i in range(done):
+        for i, candidates in chain(sorted(near.items()), enumerate(forward, prev)):
             axis, tail = elements[i]
             found = seen[axis]  # a product keeps i's axis
             la = len(tail)
-            if i < prev and la >= bound - 1:
-                candidates = near.get(i)
-                if candidates is None:
-                    continue
-            else:
-                candidates = _candidates(trie, elements, axis, tail, bound,
-                                         prev if i < prev else 0)
-                candidates.sort()
             back, back_eps = undo[i]
             for j in candidates:
                 if j == i:

@@ -127,8 +127,8 @@ class TestRawElements:
     @pytest.mark.parametrize("argv, most", [
         # the two parsed generators only, where the closure has 1,458 elements
         (["closure"], 2),
-        # and the basis's two loop elements, read twice, and one replayed act
-        (["basis"], 7),
+        # and the basis's two loop elements, built once, and one replayed act
+        (["basis"], 5),
         # and the L + 2 tail filter's two
         (["basis", "--check-stability"], 9),
         # and the parsed element, and the term's replayed acts

@@ -207,6 +207,13 @@ class TestIndexedLoop:
     # y^(z x x) acting on x costs exactly 5 letters: an x-run next to an empty tail
     @example(([(0, ()), (1, (3, 1, 1)), (2, (1,))], 4))
     @example(([(0, ()), (1, (3, 1, 1)), (2, (1,))], 5))
+    # a new a^u acting on an old x^v, each found only from u's walk:
+    @example(([(1, (1,)), (0, ())], 1))                    # v ends in u, |v| < L
+    @example(([(1, (1,)), (2, ()), (0, (3,))], 1))         # v = a^±1 u, |v| = L
+    @example(([(0, (-2, -2, 1, 2)), (0, (2,))], 6))       # v leaves u's suffix
+    @example(([(0, ()), (1, ())], 3))                      # v a proper suffix of u
+    @example(([(0, ()), (1, ())], 2))                      # ... after an x-run it strips
+    @example(([(1, (3,)), (0, (3,))], 3))                  # ... before a one-letter v
     def test_same_elements_and_derivations(self, case):
         gens, bound = case
         size = _exact_size(gens, bound)
@@ -225,15 +232,15 @@ class TestStop:
                                             baseline_closures):
         # without stop targets the enumeration ends with the size_within(L)-th
         # element: no trie walk runs after it, where the fixed point's last
-        # round walks once more for every element of the round before
+        # round walks once more for every element the round before found
         lengths = []
-        real = sq._candidates
+        real = sq._walk
 
         def spy(root, elements, *args):
             lengths.append(len(elements))
             return real(root, elements, *args)
 
-        monkeypatch.setattr(sq, "_candidates", spy)
+        monkeypatch.setattr(sq, "_walk", spy)
         closures = [c for _, c in corpus_closures]
         closures += [c for c in baseline_closures if len(c) <= 2_000]
         for c in closures:
@@ -246,6 +253,30 @@ class TestStop:
             for _ in sq._new_elements(elements, c.bound):
                 pass
             assert len(elements) == size == max(lengths)
+
+
+    def test_one_walk_per_element(self, monkeypatch, corpus_closures, baseline_closures):
+        # each element walks the trie once, in the round after it is found:
+        # the walks of a round's new elements also find the old elements
+        # they act on, so no old element walks again
+        walked = []
+        real = sq._walk
+
+        def spy(root, elements, axis, u, *args):
+            walked.append((axis, u))
+            return real(root, elements, axis, u, *args)
+
+        monkeypatch.setattr(sq, "_walk", spy)
+        closures = [c for _, c in corpus_closures] + list(baseline_closures)
+        for c in closures:
+            walked.clear()
+            assert len(sq.closure(c.generators, c.bound)) == len(c)
+            assert len(set(walked)) == len(walked) <= len(c)
+            walked.clear()
+            elements = [(g.axis, g.tail.letters) for g in c.generators]
+            for _ in sq._new_elements(elements, c.bound):
+                pass
+            assert len(set(walked)) == len(walked) == len(c)
 
 
 class TestCandidates:
@@ -295,7 +326,7 @@ class TestCandidates:
             words = [(gw, fg.inverse(gw)) for gw in
                      (fg.conjugate_word(*e) for e in elements)]
             for axis, tail in elements:
-                candidates = set(sq._candidates(trie, elements, axis, tail, bound))
+                candidates = set(sq._walk(trie, elements, axis, tail, bound, 0)[0])
                 for j, pair in enumerate(words):
                     if j in candidates:
                         continue
@@ -303,10 +334,12 @@ class TestCandidates:
                         res = cq.canonical_tail(axis, fg.reduced_product(tail, gw))
                         assert len(res) > bound or res == tail
 
-    def test_near_bound_lookups(self, corpus_closures, baseline_closures):
-        # on whole closures, every (i, j) with |tail_i| >= L - 1 and a product
-        # within the bound other than elements[i] itself is found from j, and
-        # at |tail_i| = L the forward lookup returns exactly those j
+    def test_reverse_lookups(self, corpus_closures, baseline_closures):
+        # on whole closures, at every tail length: every (i, j) with a
+        # product within the bound other than elements[i] itself is found
+        # from j; j's walk finds i exactly when i's walk finds j; the old
+        # indices below prev are those at prev = n, cut; and at |tail_i| = L
+        # the forward lookup returns exactly the within-bound j
         closures = [c for _, c in corpus_closures]
         closures += [c for c in baseline_closures if len(c) <= 2_000]
         checked = 0
@@ -317,17 +350,19 @@ class TestCandidates:
             for j, (_, tail) in enumerate(elements):
                 sq._trie_insert(trie, tail, j)
             found = [set() for _ in elements]
+            forward = []
             for j, (a, u) in enumerate(elements):
-                targets = sq._acted_on_near_bound(trie, a, u, bound, n)
-                assert sq._acted_on_near_bound(trie, a, u, bound, n // 2) == [
+                candidates, targets = sq._walk(trie, elements, a, u, bound, n)
+                forward.append(candidates)
+                assert sq._walk(trie, elements, a, u, bound, n // 2)[1] == [
                     i for i in targets if i < n // 2]
+                assert len(set(targets)) == len(targets)
                 for i in targets:
                     found[i].add(j)
             words = [(gw, fg.inverse(gw)) for gw in
                      (fg.conjugate_word(*e) for e in elements)]
             for i, (axis, tail) in enumerate(elements):
-                if len(tail) < bound - 1:
-                    continue
+                assert found[i] == set(forward[i])
                 within = set()
                 for j, pair in enumerate(words):
                     for gw in pair:
@@ -341,8 +376,7 @@ class TestCandidates:
                             within.add(j)
                 assert within <= found[i]
                 if len(tail) == bound:
-                    assert sorted(sq._candidates(trie, elements, axis, tail,
-                                                 bound)) == sorted(within)
+                    assert forward[i] == sorted(within)
                 checked += 1
         assert checked > 0
 
