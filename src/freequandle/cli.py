@@ -38,6 +38,10 @@ def _budget(args) -> int:
 
 
 def _machine_record(kind: str, fields: dict) -> str:
+    if len(fields) == 1:  # most records, such as a closure's elements
+        [(k, v)] = fields.items()
+        if v is not None:
+            return f"kind={kind}\t{k}={v}"
     return "\t".join([f"kind={kind}",
                       *[f"{k}={v}" for k, v in sorted(fields.items()) if v is not None]])
 
@@ -124,7 +128,8 @@ def cmd_closure(args):
     c = sq.closure(gens, args.max_tail_len, _budget(args))
     yield ("closure", {"bound": c.bound, "size": len(c)},
            f"closure size {len(c)} at bound L = {c.bound}")
-    for e in [cq.spell_element(c.alphabet, axis, tail) for axis, tail in c.raw]:
+    alphabet = c.alphabet
+    for e in [cq.spell_element(alphabet, axis, tail) for axis, tail in c.raw]:
         yield "element", {"value": e}, f"  {e}"
     return 0
 

@@ -20,13 +20,16 @@ is the one reader of the spelling table: :func:`format_word`,
 The documented fork is in the hot loops, where a call per pair trial or per
 letter of a trie walk would dominate the running time.
 ``subquandle._new_elements`` inlines its depth scan (``-gw[c]``), one scan
-of the common suffix per pair for both eps (7,486 pairs, 13,643 trials for
-``{x^(y), y}`` at L = 6), and ``subquandle._acting_words`` builds both
-acting words of an element around one inverse (``axis + 1``).  The trie
-walks read the encoding inline: ``conj_quandle.shrink_index``
-(``axis + 1`` of its ``(axis, letters)`` pairs), ``conj_quandle.shrinkers``
-(``abs(lt)`` and the sign of ``lt``) and ``subquandle._walk``
-(``axis + 1``, ``abs(key) - 1``).  So do the folded graph's reads in
+of the common suffix per pair below the bound for both eps (3,721 pairs,
+6,958 trials for ``{x^(y), y}`` at L = 6), and, at the bound, a one-letter
+deletion that reads the sign of the deleted letter (``tail[k] > 0``) and
+cancels with ``-tail[hi]`` (3,765 pairs, 2,920 trials).
+``subquandle._acting_words`` builds both acting words of an element around
+one inverse (``axis + 1``).  The trie walks and lookups read the encoding
+inline: ``conj_quandle.shrink_index`` (``axis + 1`` of its
+``(axis, letters)`` pairs), ``conj_quandle.shrinkers`` (``abs(lt)`` and the
+sign of ``lt``), ``subquandle._walk`` (``axis + 1``, ``abs(key) - 1``) and
+``subquandle._shrinkers`` (``abs(u[k]) - 1``).  So do the folded graph's reads in
 :mod:`stallings`: ``_Folding`` (``-lt``), ``SubquandleGraph``
 (``axis + 1``) and its count ``size_within`` (``-lt``, and ``lt > 0`` for
 a loop's letter).

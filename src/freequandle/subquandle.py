@@ -10,6 +10,7 @@ it can be expressed as a term over the generators.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -149,18 +150,16 @@ def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
 def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
           bound: int, prev: int) -> tuple[list[int], list[int]]:
     """One walk of the trie along ``u`` reversed, for the filed element
-    ``axis^u``: the indices of the trie's elements that may act on it
-    within ``bound``, sorted, and those below ``prev`` that it may act on,
-    unordered; see :func:`_new_elements`.
+    ``axis^u`` off the bound: the indices of the trie's elements that may
+    act on it within ``bound``, sorted, and those below ``prev`` that it
+    may act on, unordered; see :func:`_new_elements`, which looks up the
+    candidates of an element at the bound instead (:func:`_shrinkers`).
 
     Acted on: below the node of ``u`` it walks the runs ``x^k u`` and
     ``x^-k u`` of the axis letter x while ``|u| + k + 1 <= bound``.  At run
     depth k it takes ``t = x^k u`` itself, and from each child off the run
     the tails ``t = q x^k u`` with ``|u| + k + 2|q| + 1 <= bound``, the
-    exact length of the product.  At ``|u| = bound`` it takes only the
-    shrinks: of the elements ``a^t`` with ``t`` a proper suffix of ``u``,
-    those whose generator ``a`` is that of the letter before ``t``
-    (:func:`conj_quandle.shrinkers`).
+    exact length of the product.
 
     Acting on: the old ``x^v`` of :func:`_new_elements`' three cases, read
     off the same nodes: the suffixes of ``u`` and the children off its path
@@ -176,18 +175,14 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
     for s, key in enumerate(reversed(u)):  # s letters of u read
         children, by_len = node
         here = by_len[0]
-        if reach >= 0:
-            groups.append(here)  # t is a suffix of u
-        else:  # |u| = bound: only a shrink by the generator of key
-            a = abs(key) - 1
-            groups.append([j for j in here if elements[j][0] == a])
+        groups.append(here)  # t is a suffix of u
         back = bound - 1 - 2 * lu + s  # see :func:`_new_elements`
         if back >= 0:  # v is a proper suffix of u = q x^k v, at any k
             olds.append(here)
         elif start >= 0 and u[start] == key and u[start:lu - s] == (key,) * -back:
             a = abs(key) - 1  # k >= -back: u[start:] begins with x^-back v
             olds.append([i for i in here if elements[i][0] == a])
-        if reach > 0 or back > 0:  # reach >= 0 here
+        if reach > 0 or back > 0:
             for lt, child in children.items():
                 if lt != key:
                     groups += child[1][:reach]
@@ -195,10 +190,10 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
                         olds += child[1][:back]
         node = children[key]
     x = axis + 1
-    if lu < bound:  # u is a suffix of v, and |v| < bound or a^±1 u ends v
-        olds += node[1][:bound - lu]
-        for child in filter(None, map(node[0].get, (x, -x))):
-            olds += child[1][bound - lu - 1:bound - lu]
+    # u is a suffix of v, and |v| < bound or a^±1 u ends v
+    olds += node[1][:bound - lu]
+    for child in filter(None, map(node[0].get, (x, -x))):
+        olds += child[1][bound - lu - 1:bound - lu]
     old: list[int] = []
     for group in olds:
         if group and group[0] < prev:
@@ -223,6 +218,20 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
         out += group
     out.sort()
     return out, old
+
+
+def _shrinkers(seen, u: tuple[int, ...]) -> list[int]:
+    """The indices in ``seen`` (per axis, tail -> index) of the elements
+    that shorten an element with tail ``u``, sorted: for each proper suffix
+    ``t`` of ``u``, the ``a^t`` with ``a`` the generator of the letter
+    before ``t`` (:func:`conj_quandle.shrinkers`)."""
+    out = []
+    for k in range(len(u)):  # t = u[k + 1:]
+        j = seen[abs(u[k]) - 1].get(u[k + 1:])
+        if j is not None:
+            out.append(j)
+    out.sort()
+    return out
 
 
 def _new_elements(elements: list[RawElement], bound: int,
@@ -268,11 +277,11 @@ def _new_elements(elements: list[RawElement], bound: int,
     the exact length of both products, so a product is measured only
     where one tail is a suffix of the other.
 
-    Each round walks the trie once per new element, at its start
-    (:func:`_walk`), and old elements never walk again.  An old i pairs
-    only with the new j, so the walk of a new ``a^u`` also reads the bounds
-    above from the other side: it returns the old ``x^v`` that ``a^u`` may
-    act on within L.  With ``back = L - 1 - 2|u| + s`` at depth s, they are
+    Each round walks the trie once per new element below the bound, at
+    its start (:func:`_walk`), and old elements never walk again.  An old
+    i pairs only with the new j, so the walk of a new ``a^u`` also reads
+    the bounds above from the other side: it returns the old ``x^v`` that
+    ``a^u`` may act on within L.  With ``back = L - 1 - 2|u| + s`` at depth s, they are
     the ``v`` that
     - end in ``u``, with ``|v| <= L - 1``, or ``|v| = L`` and ``a^±1`` the
       letter before ``u`` (the shrinks below);
@@ -292,28 +301,39 @@ def _new_elements(elements: list[RawElement], bound: int,
     the enumeration stops at the ``size``-th element: every later trial
     only rediscovers.  Without it, the last round finds nothing.
 
-    A product keeps the axis of ``elements[i]``, so ``seen`` holds one set
-    of tails per axis, looked up once per i.  Most within-bound products
-    are rediscoveries (8,422 of 9,878 for ``{x^(y), y}`` at L = 6), and
-    each then costs one hash of its tail; the ``(axis, tail)`` pair is
-    built only for a new element.
+    A product keeps the axis of ``elements[i]``, so ``seen`` holds one
+    dict from tail to index per axis, looked up once per i.  Most
+    within-bound products are rediscoveries (8,422 of 9,878 for
+    ``{x^(y), y}`` at L = 6), and each then costs one hash of its tail;
+    the ``(axis, tail)`` pair is built only for a new element.
 
     Near the bound fewer elements qualify.  At ``|tail| = L`` only a shrink
-    stays within L, so :func:`_walk` keeps, of the ``a^t`` with ``t`` a
-    proper suffix of ``tail``, those with ``a`` the generator of the
-    letter before ``t``: a suffix hit with the wrong axis or sign has L + 1
-    letters, every other product more, and ``t = tail`` gives
-    ``elements[i]`` itself or L + 1 letters.  ``reach`` is negative there,
-    so no sibling candidate exists, and the runs are not walked; ``back``
-    is negative at every depth, so such an element acts on no old one.  At
+    stays within L: of the ``a^t`` with ``t`` a proper suffix of ``tail``,
+    those with ``a`` the generator of the letter before ``t``.  A suffix
+    hit with the wrong axis has L + 1 letters, every other product more,
+    and ``t = tail`` gives ``elements[i]`` itself or L + 1 letters.  So a
+    new element at the bound does not walk: :func:`_shrinkers` looks up
+    its candidates in ``seen``, one lookup per proper suffix, before the
+    round's first trial, so they are old.  Nor does it act on any old
+    element within L, since with ``|u| = L`` none of the three cases
+    above holds: a ``v`` ending in ``u`` has ``|v| >= L`` and, at
+    ``|v| = L``, no letter before ``u``; leaving the suffix at depth
+    ``s < L`` asks ``s < |v| <= 2s - L - 1``; and ``u = q x^k v`` asks a
+    run of ``k >= L + 1 - |v|`` letters in ``L - |v|``.  Its trials need no
+    suffix scan: for the candidate ``a^t`` the letter ``tail[k]``, with
+    ``k = L - |t| - 1``, is ``a^∓1``, so ``eps = -sign(tail[k])`` deletes
+    it from ``tail · t^-1 a^eps t``, and the other eps gives L + 1 letters.
+    The two ends left, ``tail[:k]`` and ``t``, cancel while
+    ``tail[k - 1 - d] == -tail[k + 1 + d]``, and only a cancellation that
+    reaches the front goes through :func:`conj_quandle.canonical_tail`.  At
     ``|tail| = L - 1`` only the elements whose tail is a suffix of
     ``tail`` qualify: ``reach`` is 0, so no sibling candidate exists, and
     a run letter (k >= 1) leaves L + k letters, so no run candidate
     exists.
     """
-    seen: dict[int, set] = {}  # axis -> the tails found on it
-    for axis, tail in elements:
-        seen.setdefault(axis, set()).add(tail)
+    seen: dict[int, dict] = defaultdict(dict)  # axis -> tail -> index
+    for k, (axis, tail) in enumerate(elements):
+        seen[axis][tail] = k
     acting = [_acting_words(e) for e in elements]
     # (j, eps) with act(elements[k], elements[j], eps) already found
     undo = [(-1, 0)] * len(elements)
@@ -326,6 +346,9 @@ def _new_elements(elements: list[RawElement], bound: int,
         near: dict[int, list[int]] = {}  # old i -> its new j, ascending
         forward = []  # each new i's candidates, sorted
         for j, (a, u) in enumerate(elements[prev:done], prev):
+            if len(u) == bound:  # acts on no old element within L
+                forward.append(_shrinkers(seen, u))
+                continue
             candidates, acted_on = _walk(trie, elements, a, u, bound, prev)
             forward.append(candidates)
             for i in acted_on:
@@ -335,6 +358,31 @@ def _new_elements(elements: list[RawElement], bound: int,
             found = seen[axis]  # a product keeps i's axis
             la = len(tail)
             back, back_eps = undo[i]
+            if la == bound:  # every candidate a^t shrinks tail by tail[k]
+                for j in candidates:
+                    k = la - 1 - len(elements[j][1])
+                    eps = -1 if tail[k] > 0 else 1
+                    if j == back and eps == back_eps:
+                        continue
+                    lo, hi = k - 1, k + 1
+                    while lo >= 0 and hi < la and tail[lo] == -tail[hi]:
+                        lo -= 1
+                        hi += 1
+                    if lo >= 0:
+                        product = tail[:lo + 1] + tail[hi:]
+                    else:
+                        product = cq.canonical_tail(axis, tail[hi:])
+                    if product in found:
+                        continue
+                    found[product] = len(elements)
+                    res = (axis, product)
+                    elements.append(res)
+                    acting.append(_acting_words(res))
+                    undo.append((j, -eps))
+                    yield i, j, eps
+                    if len(elements) == size:
+                        return
+                continue
             for j in candidates:
                 if j == i:
                     continue
@@ -364,7 +412,7 @@ def _new_elements(elements: list[RawElement], bound: int,
                             continue
                     if product in found:
                         continue
-                    found.add(product)
+                    found[product] = len(elements)
                     res = (axis, product)
                     elements.append(res)
                     acting.append(_acting_words(res))

@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -227,20 +228,34 @@ class TestIndexedLoop:
             assert len(new) == size
 
 
+def _seen(elements):
+    """The kernel's ``seen`` of whole raw elements: axis -> tail -> index."""
+    seen = defaultdict(dict)
+    for k, (axis, tail) in enumerate(elements):
+        seen[axis][tail] = k
+    return seen
+
+
 class TestStop:
     def test_no_walk_after_the_last_element(self, monkeypatch, corpus_closures,
                                             baseline_closures):
         # without stop targets the enumeration ends with the size_within(L)-th
-        # element: no trie walk runs after it, where the fixed point's last
-        # round walks once more for every element the round before found
+        # element: no trie walk or shrinker lookup runs after it, where the
+        # fixed point's last round walks or looks up once more for every
+        # element the round before found
         lengths = []
-        real = sq._walk
+        real_walk, real_shrinkers = sq._walk, sq._shrinkers
 
-        def spy(root, elements, *args):
+        def walk(root, elements, *args):
             lengths.append(len(elements))
-            return real(root, elements, *args)
+            return real_walk(root, elements, *args)
 
-        monkeypatch.setattr(sq, "_walk", spy)
+        def shrinkers(seen, u):
+            lengths.append(sum(map(len, seen.values())))
+            return real_shrinkers(seen, u)
+
+        monkeypatch.setattr(sq, "_walk", walk)
+        monkeypatch.setattr(sq, "_shrinkers", shrinkers)
         closures = [c for _, c in corpus_closures]
         closures += [c for c in baseline_closures if len(c) <= 2_000]
         for c in closures:
@@ -256,27 +271,58 @@ class TestStop:
 
 
     def test_one_walk_per_element(self, monkeypatch, corpus_closures, baseline_closures):
-        # each element walks the trie once, in the round after it is found:
-        # the walks of a round's new elements also find the old elements
-        # they act on, so no old element walks again
-        walked = []
+        # each element below the bound walks the trie once, in the round
+        # after it is found: the walks of a round's new elements also find
+        # the old elements they act on, so no old element walks again.  An
+        # element at the bound never walks: it looks up its shrinkers once
+        walked, looked_up = [], []
+        real_walk, real_shrinkers = sq._walk, sq._shrinkers
+
+        def walk(root, elements, axis, u, *args):
+            walked.append((axis, u))
+            return real_walk(root, elements, axis, u, *args)
+
+        def shrinkers(seen, u):
+            looked_up.append(u)
+            return real_shrinkers(seen, u)
+
+        monkeypatch.setattr(sq, "_walk", walk)
+        monkeypatch.setattr(sq, "_shrinkers", shrinkers)
+        closures = [c for _, c in corpus_closures] + list(baseline_closures)
+        for c in closures:
+            below = {(a, t) for a, t in c.raw if len(t) < c.bound}
+            walked.clear()
+            assert len(sq.closure(c.generators, c.bound)) == len(c)
+            assert len(set(walked)) == len(walked) and set(walked) <= below
+            walked.clear()
+            looked_up.clear()
+            elements = [(g.axis, g.tail.letters) for g in c.generators]
+            for _ in sq._new_elements(elements, c.bound):
+                pass
+            assert len(set(walked)) == len(walked) and set(walked) == below
+            assert len(looked_up) == len(c) - len(below)
+            assert all(len(u) == c.bound for u in looked_up)
+
+    def test_walks_only_below_the_bound(self, monkeypatch, corpus_closures,
+                                        baseline_closures):
+        # an element at the bound acts on no element within it, and its
+        # candidates are its shrinkers, looked up without a trie walk
+        walks = []
         real = sq._walk
 
-        def spy(root, elements, axis, u, *args):
-            walked.append((axis, u))
-            return real(root, elements, axis, u, *args)
+        def spy(root, elements, axis, u, bound, prev):
+            assert len(u) < bound
+            walks.append(u)
+            return real(root, elements, axis, u, bound, prev)
 
         monkeypatch.setattr(sq, "_walk", spy)
         closures = [c for _, c in corpus_closures] + list(baseline_closures)
         for c in closures:
-            walked.clear()
-            assert len(sq.closure(c.generators, c.bound)) == len(c)
-            assert len(set(walked)) == len(walked) <= len(c)
-            walked.clear()
-            elements = [(g.axis, g.tail.letters) for g in c.generators]
-            for _ in sq._new_elements(elements, c.bound):
-                pass
-            assert len(set(walked)) == len(walked) == len(c)
+            assert sq.closure(c.generators, c.bound).raw == c.raw
+            middle = c.elements[len(c) // 2]
+            stopped = sq.closure(c.generators, c.bound, stop_when_contains=[middle])
+            assert stopped.raw == c.raw[:max(len(c) // 2 + 1, len(c.generators))]
+        assert walks
 
 
 class TestCandidates:
@@ -325,8 +371,12 @@ class TestCandidates:
                 sq._trie_insert(trie, tail, j)
             words = [(gw, fg.inverse(gw)) for gw in
                      (fg.conjugate_word(*e) for e in elements)]
+            seen = _seen(elements)
             for axis, tail in elements:
-                candidates = set(sq._walk(trie, elements, axis, tail, bound, 0)[0])
+                if len(tail) == bound:
+                    candidates = set(sq._shrinkers(seen, tail))
+                else:
+                    candidates = set(sq._walk(trie, elements, axis, tail, bound, 0)[0])
                 for j, pair in enumerate(words):
                     if j in candidates:
                         continue
@@ -337,9 +387,10 @@ class TestCandidates:
     def test_reverse_lookups(self, corpus_closures, baseline_closures):
         # on whole closures, at every tail length: every (i, j) with a
         # product within the bound other than elements[i] itself is found
-        # from j; j's walk finds i exactly when i's walk finds j; the old
-        # indices below prev are those at prev = n, cut; and at |tail_i| = L
-        # the forward lookup returns exactly the within-bound j
+        # from j; j's walk finds i exactly when i's walk or shrinker lookup
+        # finds j; the old indices below prev are those at prev = n, cut;
+        # and at |tail_i| = L the shrinker lookup returns exactly the
+        # within-bound j.  Only the elements below the bound walk
         closures = [c for _, c in corpus_closures]
         closures += [c for c in baseline_closures if len(c) <= 2_000]
         checked = 0
@@ -349,9 +400,13 @@ class TestCandidates:
             trie = [{}, []]
             for j, (_, tail) in enumerate(elements):
                 sq._trie_insert(trie, tail, j)
+            seen = _seen(elements)
             found = [set() for _ in elements]
             forward = []
             for j, (a, u) in enumerate(elements):
+                if len(u) == bound:
+                    forward.append(sq._shrinkers(seen, u))
+                    continue
                 candidates, targets = sq._walk(trie, elements, a, u, bound, n)
                 forward.append(candidates)
                 assert sq._walk(trie, elements, a, u, bound, n // 2)[1] == [
@@ -379,6 +434,23 @@ class TestCandidates:
                     assert forward[i] == sorted(within)
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("a, q, eps, product, bound", [
+        # one cancellation at the junction; the other eps has 7 letters
+        ("x^(y x^-1 y^-1 x y x)", "y^(x y x)", 1, "x^(y y x)", 6),
+        # the cancellation reaches the front, then the axis letter is stripped
+        ("x^(y z y^-1 x)", "z^(y^-1 x)", -1, "x", 4),
+    ])
+    def test_shrink_by_deletion(self, a, q, eps, product, bound):
+        # an element at the bound looks up its shrinker and deletes the
+        # letter before the shrinker's tail, as act does
+        a, q, product = (cq.parse_element(XYZ, e) for e in (a, q, product))
+        assert cq.act(a, q, eps) == product
+        assert len(cq.act(a, q, -eps).tail) == bound + 1
+        elements = [(a.axis, a.tail.letters), (q.axis, q.tail.letters)]
+        assert sq._shrinkers(_seen(elements), a.tail.letters) == [1]
+        assert next(sq._new_elements(elements, bound)) == (0, 1, eps)
+        assert elements[2] == (product.axis, product.tail.letters)
 
 
 class TestBaselineSizes:
