@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj_quandle import QuandleElement, act, shrinkers, to_group_word
+from .conj_quandle import QuandleElement, act, to_group_word
 from .errors import NotInClosure
 from .independence import IndependenceReport, check_significant_factors, nielsen_independent
 from .free_group import Word
@@ -72,26 +72,28 @@ def is_shrinkable(w: Word, axis: int, c: ClosureSet) -> Optional[ShrinkMove]:
     """First closure element (and eps) that shortens w, if any.
 
     The first move of a scan over the closure elements in insertion order,
-    eps -1 before +1: the least hit of w in the closure's shrink index (see
-    :func:`conj_quandle.shrinkers`).  Equal-length results cannot occur (odd
-    group words flip tail parity).  Of the closure, only the shrinking
-    element is wrapped.
+    eps -1 before +1: the least of w's shrinkers in the closure
+    (:meth:`ClosureSet.shrinkers`).  Such an element ``y^u`` shortens w
+    with one eps only, since w ends with ``y^-eps u``
+    (:func:`conj_quandle.shrinkers`): eps is minus the sign of the letter
+    of w before u.  Equal-length results cannot occur (odd group words flip
+    tail parity).  Of the closure, only the shrinking element is wrapped.
     """
-    hit = min(shrinkers(c.shrink_index, w.letters), default=None)
-    if hit is None:
+    hits = c.shrinkers(w.letters)
+    if not hits:
         return None
-    (k, eps), target = hit, QuandleElement(axis, w)
-    q = QuandleElement(c.raw[k][0], Word(c.alphabet, c.raw[k][1]))
+    axis_q, u = c.raw[hits[0]]
+    eps = -1 if w.letters[-len(u) - 1] > 0 else 1
+    target, q = QuandleElement(axis, w), QuandleElement(axis_q, Word(c.alphabet, u))
     return ShrinkMove(target, q, eps, act(target, q, eps))
 
 
 def compute_T(axis: int, c: ClosureSet) -> list[Word]:
     """Closure tails on the given axis that no closure element can shorten:
-    those with no hit in the closure's shrink index, so no move is built.
-    It reads c's raw elements and wraps only the tails it keeps."""
-    index = c.shrink_index
-    return [Word(c.alphabet, t) for a, t in c.raw if a == axis
-            and next(shrinkers(index, t), None) is None]
+    those with no shrinker in the closure (:meth:`ClosureSet.shrinkers`),
+    so no move is built.  It reads c's raw elements and wraps only the
+    tails it keeps."""
+    return [Word(c.alphabet, t) for a, t in c.raw if a == axis and not c.shrinkers(t)]
 
 
 def _tail_filter(c: ClosureSet) -> tuple[QuandleElement, ...]:
@@ -171,7 +173,7 @@ def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     witness re-closure) inherit c's element budget.
     """
     basis = c.graph.basis()
-    at = {(e.axis, c.index[e.axis, e.tail.letters]): e for e in basis if e in c}
+    at = {(e.axis, c.index[e.axis][e.tail.letters]): e for e in basis if e in c}
     candidate = tuple(at[k] for k in sorted(at))  # axis by axis, then closure order
     if len(candidate) < len(basis):
         absent = ", ".join(sorted(map(str, basis.difference(candidate))))

@@ -100,9 +100,9 @@ def act(a: QuandleElement, q: QuandleElement, eps: int = RIGHT) -> QuandleElemen
 
 def shrink_index(elements) -> tuple[dict, dict]:
     """A trie of the elements' reversed tails for :func:`shrinkers`, over
-    canonical elements given as ``(axis, tail letters)`` pairs, as a
-    closure holds them.  A node is ``(children by letter, {y + 1: least
-    k})`` over the ``elements[k] = y^u`` whose reversed tail ends at it."""
+    canonical elements given as ``(axis, tail letters)`` pairs, with tails
+    of any length.  A node is ``(children by letter, {y + 1: least k})``
+    over the ``elements[k] = y^u`` whose reversed tail ends at it."""
     root: tuple[dict, dict] = ({}, {})
     for k, (axis, tail) in enumerate(elements):
         node = root

@@ -26,10 +26,13 @@ deletion that reads the sign of the deleted letter (``tail[k] > 0``) and
 cancels with ``-tail[hi]`` (3,765 pairs, 2,920 trials).
 ``subquandle._acting_words`` builds both acting words of an element around
 one inverse (``axis + 1``).  The trie walks and lookups read the encoding
-inline: ``conj_quandle.shrink_index`` (``axis + 1`` of its
-``(axis, letters)`` pairs), ``conj_quandle.shrinkers`` (``abs(lt)`` and the
-sign of ``lt``), ``subquandle._walk`` (``axis + 1``, ``abs(key) - 1``) and
-``subquandle._shrinkers`` (``abs(u[k]) - 1``).  So do the folded graph's reads in
+inline: the closure's ``subquandle._walk`` (``axis + 1``,
+``abs(key) - 1``) and ``subquandle._shrinkers`` (``abs(u[k]) - 1``), which
+also answers a closure's shrinkers for ``basis.is_shrinkable`` (the sign of
+the letter before the shrinker's tail) and ``basis.compute_T``; and the
+significant-factor check's ``conj_quandle.shrink_index`` (``axis + 1`` of
+its ``(axis, letters)`` pairs) and ``conj_quandle.shrinkers`` (``abs(lt)``
+and the sign of ``lt``).  So do the folded graph's reads in
 :mod:`stallings`: ``_Folding`` (``-lt``), ``SubquandleGraph``
 (``axis + 1``) and its count ``size_within`` (``-lt``, and ``lt > 0`` for
 a loop's letter).

@@ -66,10 +66,13 @@ class ClosureSet:
     It keeps the enumeration as :func:`_new_elements` left it: element k
     is ``raw[k] = (axis, tail letters)``, the generators first, and
     element ``len(generators) + m`` is ``act(raw[i], raw[j], eps)`` for
-    ``steps[m] = (i, j, eps)``.  The objects are built only where a caller
-    asks for them: :attr:`elements` wraps every element in a validated
-    :class:`QuandleElement` on first use, and :attr:`derivations` reads
-    them; the CLI spells, filters, indexes and expresses the raw elements.
+    ``steps[m] = (i, j, eps)``.  It also keeps the kernel's table of
+    positions, :attr:`index`, which answers membership, positions and
+    shrinkers (:meth:`shrinkers`) by lookup.  The objects are built only
+    where a caller asks for them: :attr:`elements` wraps every element in
+    a validated :class:`QuandleElement` on first use, and
+    :attr:`derivations` reads them; the CLI spells, filters, indexes and
+    expresses the raw elements.
     """
 
     generators: tuple[QuandleElement, ...]
@@ -89,7 +92,7 @@ class ClosureSet:
         """Bounded membership: False means "not found within bound", not a proof."""
         if e.alphabet != self.alphabet:
             raise AlphabetMismatch("element from a different alphabet")
-        return (e.axis, e.tail.letters) in self.index
+        return e.tail.letters in self.index[e.axis]
 
     @cached_property
     def elements(self) -> tuple[QuandleElement, ...]:
@@ -102,14 +105,17 @@ class ClosureSet:
         return {el[n + m]: (el[i], el[j], eps) for m, (i, j, eps) in enumerate(self.steps)}
 
     @cached_property
-    def index(self) -> dict[RawElement, int]:
-        """Each raw element's position, built on first use."""
-        return dict(zip(self.raw, range(len(self.raw))))
+    def index(self) -> dict[int, dict]:
+        """Per axis, each raw element's tail -> its position (:func:`_index`):
+        the table :func:`closure` enumerated with, or else built on first use."""
+        return _index(self.raw)
 
-    @cached_property
-    def shrink_index(self) -> tuple[dict, dict]:
-        """:func:`conj_quandle.shrink_index` of the raw elements, built on first use."""
-        return cq.shrink_index(self.raw)
+    def shrinkers(self, letters: tuple[int, ...]) -> list[int]:
+        """The positions of the elements that shorten a tail ``letters``,
+        sorted (:func:`_shrinkers`).  Their tails have at most ``bound``
+        letters, so only the last ``bound + 1`` letters of ``letters`` can
+        hold one and the letter before it: O(bound²) at any length."""
+        return _shrinkers(self.index, letters[-self.bound - 1:])
 
     @cached_property
     def graph(self) -> SubquandleGraph:
@@ -169,7 +175,8 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
     """
     lu = len(u)
     reach = (bound - lu - 1) // 2  # most letters of t past the shared suffix
-    start = bound - 1 - lu  # a run x^k before v that strips enough starts here
+    # >= 0, as |u| < bound: a run x^k before v that strips enough starts here
+    start = bound - 1 - lu
     groups, olds = [], []  # olds: the groups of v, yet to cut at prev
     node = root
     for s, key in enumerate(reversed(u)):  # s letters of u read
@@ -179,7 +186,7 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
         back = bound - 1 - 2 * lu + s  # see :func:`_new_elements`
         if back >= 0:  # v is a proper suffix of u = q x^k v, at any k
             olds.append(here)
-        elif start >= 0 and u[start] == key and u[start:lu - s] == (key,) * -back:
+        elif u[start] == key and u[start:lu - s] == (key,) * -back:
             a = abs(key) - 1  # k >= -back: u[start:] begins with x^-back v
             olds.append([i for i in here if elements[i][0] == a])
         if reach > 0 or back > 0:
@@ -220,6 +227,15 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
     return out, old
 
 
+def _index(elements: list[RawElement]) -> dict[int, dict]:
+    """Per axis, each element's tail -> its position in ``elements``: the
+    table :func:`_new_elements` extends as it enumerates."""
+    index: dict[int, dict] = defaultdict(dict)
+    for k, (axis, tail) in enumerate(elements):
+        index[axis][tail] = k
+    return index
+
+
 def _shrinkers(seen, u: tuple[int, ...]) -> list[int]:
     """The indices in ``seen`` (per axis, tail -> index) of the elements
     that shorten an element with tail ``u``, sorted: for each proper suffix
@@ -234,12 +250,14 @@ def _shrinkers(seen, u: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _new_elements(elements: list[RawElement], bound: int,
+def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
                   size: Optional[int] = None):
     """Semi-naive fixed point of act(a, q, ±1) over ``elements``, in place.
 
-    Appends each new within-bound product to ``elements`` and yields its
-    derivation ``(i, j, eps)``: elements[i] acted on by elements[j].  Each
+    Appends each new within-bound product to ``elements``, files its
+    position in ``seen``, the table of ``elements``' positions that the
+    caller built (:func:`_index`), and yields its derivation
+    ``(i, j, eps)``: elements[i] acted on by elements[j].  Each
     round tries the pairs with at least one element new since the last
     round, i in insertion order, then j, then eps +1 before -1.
     ``elements`` must be canonical with tails of at most ``bound`` letters,
@@ -331,9 +349,6 @@ def _new_elements(elements: list[RawElement], bound: int,
     a run letter (k >= 1) leaves L + k letters, so no run candidate
     exists.
     """
-    seen: dict[int, dict] = defaultdict(dict)  # axis -> tail -> index
-    for k, (axis, tail) in enumerate(elements):
-        seen[axis][tail] = k
     acting = [_acting_words(e) for e in elements]
     # (j, eps) with act(elements[k], elements[j], eps) already found
     undo = [(-1, 0)] * len(elements)
@@ -498,7 +513,8 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
 
     ``gens`` may also be the generators' folded graph, so that a caller
     who has it folds them once: the size is then counted on it, and the
-    set keeps it as its :attr:`ClosureSet.graph`.
+    set keeps it as its :attr:`ClosureSet.graph`.  The set also keeps the
+    enumeration's table of positions as its :attr:`ClosureSet.index`.
     """
     gens, graph = _checked_generators(gens, bound, max_elements)
     size = None
@@ -506,6 +522,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
         graph = graph or SubquandleGraph(gens)
         size = _size(graph, bound, max_elements)
     elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
+    index = _index(elements)
     steps: list[tuple[int, int, int]] = []  # of elements[len(gens):]
 
     missing = None
@@ -514,7 +531,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
         fg.one_alphabet([gens[0], *stop], "stop targets and generators")
         missing = {(e.axis, e.tail.letters) for e in stop} - set(elements)
     if missing != set():
-        for d in _new_elements(elements, bound, size):
+        for d in _new_elements(elements, index, bound, size):
             steps.append(d)
             if max_elements is not None and len(elements) > max_elements:
                 raise _too_large(bound, len(elements), max_elements)
@@ -524,8 +541,9 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
                     break
 
     c = ClosureSet(tuple(gens), bound, tuple(elements), tuple(steps), max_elements)
+    object.__setattr__(c, "index", index)  # the cached properties, already built
     if graph is not None:
-        object.__setattr__(c, "graph", graph)  # the cached property, already built
+        object.__setattr__(c, "graph", graph)
     return c
 
 
@@ -545,7 +563,7 @@ def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
             memo[k] = QuandleTerm(eps, build(i), build(j))
         return memo[k]
 
-    term = build(c.index[e.axis, e.tail.letters])
+    term = build(c.index[e.axis][e.tail.letters])
     if term.evaluate(c.generators) != e:
         raise WitnessNotFound(f"derivation term {term} does not replay to {e}")
     return term

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from freequandle import basis as bs
 from freequandle import conj_quandle as cq
@@ -134,6 +135,59 @@ class TestSuffixIndex:
         for c in closures:
             bs._tail_filter(c)
         assert calls == []
+
+
+@st.composite
+def closures_and_targets(draw):
+    """A closure on two or three letters at L <= 4, and target tails of
+    L + 1 and L + 2 letters, the edge of the slice that
+    ClosureSet.shrinkers reads, and of 0 to L + 4; about half end in a closure
+    tail u after the letter y^±1 of its axis y."""
+    alphabet = Alphabet(("x", "y", "z")[:draw(st.integers(2, 3))])
+    n = len(alphabet)
+    letters = st.sampled_from([s * (g + 1) for g in range(n) for s in (1, -1)])
+    gens = []
+    for axis in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        tail = fg.reduced_product((), draw(st.lists(letters, max_size=3)))
+        gens.append(cq.QuandleElement(axis, fg.Word(alphabet, cq.canonical_tail(axis, tail))))
+    bound = draw(st.integers(max(len(g.tail) for g in gens), 4))
+    try:
+        c = sq.closure(gens, bound, max_elements=500)
+    except ClosureTooLarge:
+        assume(False)
+    targets = []
+    for length in draw(st.lists(st.one_of(st.sampled_from([bound + 1, bound + 2]),
+                                          st.integers(0, bound + 4)), min_size=1, max_size=4)):
+        t = ()
+        planted = [e for e in c.raw if len(e[1]) < length]
+        if planted and draw(st.booleans()):
+            y, u = draw(st.sampled_from(planted))
+            t = (draw(st.sampled_from([y + 1, -y - 1])),) + u
+        while len(t) < length:
+            t = (draw(letters.filter(lambda lt: not t or lt != -t[0])),) + t
+        axis = draw(st.sampled_from([a for a in range(n) if not t or abs(t[0]) != a + 1]))
+        targets.append((axis, t))
+    return c, targets
+
+
+class TestClosureShrinkers:
+    @settings(max_examples=200, deadline=None)
+    @given(closures_and_targets())
+    def test_same_as_the_trie(self, case):
+        # the closure's own table answers what a trie of its reversed tails
+        # answers, at any target length
+        c, targets = case
+        trie = cq.shrink_index(c.raw)
+        for axis, t in targets:
+            hits = list(cq.shrinkers(trie, t))
+            assert c.shrinkers(t) == sorted(k for k, _ in hits)
+            move = bs.is_shrinkable(fg.Word(c.alphabet, t), axis, c)
+            if not hits:
+                assert move is None
+                continue
+            k, eps = min(hits)
+            assert (move.by, move.eps) == (c.elements[k], eps)
+            assert len(move.result.tail) < len(t)
 
 
 class TestComputeT:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freequandle import basis
+from freequandle import cli
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
 from freequandle import independence as ind
@@ -15,6 +17,7 @@ from freequandle.errors import AlphabetMismatch, EmptyInputWord
 from freequandle.free_group import Alphabet
 
 from test_basis import _ref_shrinks
+from test_output_digest import _corpus_commands
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
@@ -236,6 +239,42 @@ class TestShrinkRelation:
                    for method in (basis.compute_S, basis.greedy_shrink)]
         assert len(reports) == 400
         assert all(r.hall_verdict.passed for r in reports)
+
+    def test_one_trie_per_check(self, monkeypatch, capsys, tmp_path, corpus):
+        # only the significant-factor check builds a trie of reversed tails,
+        # one per call; the closures of basis and express answer the
+        # relation from their own tables of positions
+        package = [m for name, m in sys.modules.items()
+                   if name == "freequandle" or name.startswith("freequandle.")]
+        assert sorted((m.__name__, attr) for m in package for attr, value in vars(m).items()
+                      if value is cq.shrink_index) == [
+            ("freequandle.conj_quandle", "shrink_index"),
+            ("freequandle.independence", "shrink_index")]
+        calls = []
+
+        def spying(name, fn):
+            def spy(*args):
+                calls.append(name)
+                return fn(*args)
+            return spy
+
+        trie = spying("trie", cq.shrink_index)
+        monkeypatch.setattr(cq, "shrink_index", trie)
+        monkeypatch.setattr(ind, "shrink_index", trie)
+        check = spying("check", ind.check_significant_factors)
+        monkeypatch.setattr(ind, "check_significant_factors", check)
+        monkeypatch.setattr(basis, "check_significant_factors", check)
+        checks = 0
+        for _, commands in _corpus_commands(tmp_path, corpus):
+            for argv in commands:
+                if argv[0] == "check-independence":
+                    continue
+                calls.clear()
+                cli.main(argv)
+                capsys.readouterr()
+                assert calls == ["check", "trie"] * (len(calls) // 2), argv
+                checks += len(calls) // 2
+        assert checks == 2 * len(corpus)  # one per basis command
 
     def test_linear_in_word_length(self):
         # each check is timed against a linear reference on the same words

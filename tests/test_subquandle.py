@@ -1,5 +1,4 @@
 import itertools
-from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,6 +64,8 @@ class TestClosure:
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
             sq.closure(els("x^(y x y^-1)"), 2)
+        with pytest.raises(BoundTooSmall):
+            sq.closure(els("x^(y)", "y"), 0)
 
     def test_element_budget(self):
         with pytest.raises(ClosureTooLarge):
@@ -169,10 +170,8 @@ WHOLE = 300
 
 
 def _exact_size(gens, bound):
-    """size_within of raw elements on at most three axes, or None below the
-    longest tail, where closure takes no such bound and F4 does not hold."""
-    if any(len(t) > bound for _, t in gens):
-        return None
+    """size_within of raw elements on at most three axes, each tail within
+    the bound, as closure asks."""
     return SubquandleGraph([cq.QuandleElement(a, fg.Word(XYZ, t))
                             for a, t in gens]).size_within(bound)
 
@@ -204,7 +203,7 @@ class TestIndexedLoop:
     @example(([(0, ())], 9))                               # one-letter alphabet
     @example(([(0, (2, 3)), (1, (3,)), (2, (1, -2, 3))], 7))  # tails ending in one another
     @example(([(0, (3,)), (1, (3,)), (2, (1,))], 5))       # one tail on two axes
-    @example(([(0, (2,)), (1, ())], 0))
+    @example(([(0, ()), (1, ())], 0))
     # y^(z x x) acting on x costs exactly 5 letters: an x-run next to an empty tail
     @example(([(0, ()), (1, (3, 1, 1)), (2, (1,))], 4))
     @example(([(0, ()), (1, (3, 1, 1)), (2, (1,))], 5))
@@ -218,22 +217,14 @@ class TestIndexedLoop:
     def test_same_elements_and_derivations(self, case):
         gens, bound = case
         size = _exact_size(gens, bound)
-        limit = PREFIX if size is None or size > WHOLE else None
+        limit = PREFIX if size > WHOLE else None
         ref, new = list(gens), list(gens)
         want = list(itertools.islice(_all_pairs_new_elements(ref, bound), limit))
-        got = list(itertools.islice(sq._new_elements(new, bound, size), limit))
+        got = list(itertools.islice(sq._new_elements(new, sq._index(new), bound, size), limit))
         assert got == want
         assert new == ref
         if limit is None:
             assert len(new) == size
-
-
-def _seen(elements):
-    """The kernel's ``seen`` of whole raw elements: axis -> tail -> index."""
-    seen = defaultdict(dict)
-    for k, (axis, tail) in enumerate(elements):
-        seen[axis][tail] = k
-    return seen
 
 
 class TestStop:
@@ -265,7 +256,7 @@ class TestStop:
             assert max(lengths, default=0) < size
             lengths.clear()
             elements = [(g.axis, g.tail.letters) for g in c.generators]
-            for _ in sq._new_elements(elements, c.bound):
+            for _ in sq._new_elements(elements, sq._index(elements), c.bound):
                 pass
             assert len(elements) == size == max(lengths)
 
@@ -297,7 +288,7 @@ class TestStop:
             walked.clear()
             looked_up.clear()
             elements = [(g.axis, g.tail.letters) for g in c.generators]
-            for _ in sq._new_elements(elements, c.bound):
+            for _ in sq._new_elements(elements, sq._index(elements), c.bound):
                 pass
             assert len(set(walked)) == len(walked) and set(walked) == below
             assert len(looked_up) == len(c) - len(below)
@@ -323,6 +314,29 @@ class TestStop:
             stopped = sq.closure(c.generators, c.bound, stop_when_contains=[middle])
             assert stopped.raw == c.raw[:max(len(c) // 2 + 1, len(c.generators))]
         assert walks
+
+
+class TestIndex:
+    def test_one_table_per_closure(self, monkeypatch, corpus_closures, baseline_closures):
+        # closure() builds one table of positions, enumerates with it and
+        # keeps it as c.index, whole or stopped; a lookup of an axis that
+        # holds no element leaves it an empty dict
+        real, tables = sq._index, []
+
+        def spy(elements):
+            tables.append(real(elements))
+            return tables[-1]
+
+        monkeypatch.setattr(sq, "_index", spy)
+        closures = [c for _, c in corpus_closures]
+        closures += [c for c in baseline_closures if len(c) <= 2_000]
+        for c in closures:
+            middle = c.elements[len(c) // 2]
+            for targets in (None, [middle]):
+                tables.clear()
+                built = sq.closure(c.generators, c.bound, stop_when_contains=targets)
+                assert len(tables) == 1 and built.index is tables[0]
+                assert {a: d for a, d in built.index.items() if d} == real(built.raw)
 
 
 class TestCandidates:
@@ -371,7 +385,7 @@ class TestCandidates:
                 sq._trie_insert(trie, tail, j)
             words = [(gw, fg.inverse(gw)) for gw in
                      (fg.conjugate_word(*e) for e in elements)]
-            seen = _seen(elements)
+            seen = sq._index(elements)
             for axis, tail in elements:
                 if len(tail) == bound:
                     candidates = set(sq._shrinkers(seen, tail))
@@ -400,7 +414,7 @@ class TestCandidates:
             trie = [{}, []]
             for j, (_, tail) in enumerate(elements):
                 sq._trie_insert(trie, tail, j)
-            seen = _seen(elements)
+            seen = sq._index(elements)
             found = [set() for _ in elements]
             forward = []
             for j, (a, u) in enumerate(elements):
@@ -448,8 +462,8 @@ class TestCandidates:
         assert cq.act(a, q, eps) == product
         assert len(cq.act(a, q, -eps).tail) == bound + 1
         elements = [(a.axis, a.tail.letters), (q.axis, q.tail.letters)]
-        assert sq._shrinkers(_seen(elements), a.tail.letters) == [1]
-        assert next(sq._new_elements(elements, bound)) == (0, 1, eps)
+        assert sq._shrinkers(sq._index(elements), a.tail.letters) == [1]
+        assert next(sq._new_elements(elements, sq._index(elements), bound)) == (0, 1, eps)
         assert elements[2] == (product.axis, product.tail.letters)
 
 
@@ -510,7 +524,7 @@ class TestExpress:
         # the replay check is an explicit raise, so it also holds under -O
         c = sq.closure(els("x^(y)", "y"), 2)
         e = el("x")
-        m = c.index[e.axis, e.tail.letters] - len(c.generators)
+        m = c.index[e.axis][e.tail.letters] - len(c.generators)
         i, j, eps = c.steps[m]
         assert cq.act(c.elements[i], c.elements[j], -eps) != e
         steps = (*c.steps[:m], (i, j, -eps), *c.steps[m + 1:])
