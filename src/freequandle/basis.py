@@ -80,11 +80,18 @@ def is_shrinkable(w: Word, axis: int, c: ClosureSet) -> Optional[ShrinkMove]:
     tail parity).  Of the closure, only the shrinking element is wrapped.
     """
     hits = c.shrinkers(w.letters)
-    if not hits:
-        return None
-    axis_q, u = c.raw[hits[0]]
-    eps = -1 if w.letters[-len(u) - 1] > 0 else 1
-    target, q = QuandleElement(axis, w), QuandleElement(axis_q, Word(c.alphabet, u))
+    return _move(QuandleElement(axis, w), _element(c, hits[0])) if hits else None
+
+
+def _element(c: ClosureSet, k: int) -> QuandleElement:
+    axis, t = c.raw[k]
+    return QuandleElement(axis, Word(c.alphabet, t))
+
+
+def _move(target: QuandleElement, q: QuandleElement) -> ShrinkMove:
+    """The move of target by q, a shrinker of its tail: eps is minus the
+    sign of the letter of the tail before q's."""
+    eps = -1 if target.tail.letters[-len(q.tail) - 1] > 0 else 1
     return ShrinkMove(target, q, eps, act(target, q, eps))
 
 
@@ -193,27 +200,34 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
     """Shrink the generators of c against their own bounded closure.
 
     The working set starts as c's (deduped) generators, with c as its
-    closure; each step applies the first available move (smallest target
-    index, then smallest shrinking element index in the working set's
-    closure, eps -1 before +1), replacing the target, re-deduping and
-    re-closing.  Total tail length strictly decreases, so the loop
-    terminates.  The witnesses come from the last working closure, the
-    full bounded closure of the candidate.  No candidate element shortens
-    another, so by F4's argument (:func:`compute_S`) that closure is all the
-    candidate's subquandle within L: a missing witness is not generated
-    by the candidate at any bound.  Each working closure inherits c's
-    bound and element budget.
+    closure.  Each step takes the first target, in working order, that a
+    shrinker in the working closure lying in the subquandle of the other
+    working elements shortens (read on their folded graph,
+    :meth:`SubquandleGraph.member`), and the first such shrinker in
+    closure order; it replaces the target by the move's result, re-dedupes
+    and re-closes.  The target is that result acted on by the same
+    shrinker with -eps, so every move keeps the subquandle of the working
+    set that of the input.  Total tail length strictly decreases, so the
+    loop terminates.  The witnesses come from the last working closure,
+    the candidate's subquandle within L (F4), so none is missing; the
+    check stays as a guard.  Once no move is left, no candidate element
+    shortens another, as each lies in the subquandle of the others.  Each
+    working closure inherits c's bound and element budget.
     """
     working = list(c.generators)
     wc = c
     moves: list[ShrinkMove] = []
     while True:
         for ti, target in enumerate(working):
-            mv = is_shrinkable(target.tail, target.axis, wc)
-            if mv is not None:
-                break
+            hits = wc.shrinkers(target.tail.letters)
+            if hits:  # the others fold only for a target that has shrinkers
+                rest = SubquandleGraph(working[:ti] + working[ti + 1:])
+                q = next(filter(rest.member, (_element(wc, k) for k in hits)), None)
+                if q is not None:
+                    break
         else:
             break
+        mv = _move(target, q)
         moves.append(mv)
         working[ti] = mv.result
         working = list(dict.fromkeys(working))

@@ -24,12 +24,13 @@ of the common suffix per pair below the bound for both eps (3,721 pairs,
 6,958 trials for ``{x^(y), y}`` at L = 6), and, at the bound, a one-letter
 deletion that reads the sign of the deleted letter (``tail[k] > 0``) and
 cancels with ``-tail[hi]`` (3,765 pairs, 2,920 trials).
-``subquandle._acting_words`` builds both acting words of an element around
-one inverse (``axis + 1``).  The trie walks and lookups read the encoding
+``subquandle._acting_words`` builds both acting words of an element below
+the bound around one inverse (``axis + 1``).  The trie walks and lookups read the encoding
 inline: the closure's ``subquandle._walk`` (``axis + 1``,
-``abs(key) - 1``) and ``subquandle._shrinkers`` (``abs(u[k]) - 1``), which
-also answers a closure's shrinkers for ``basis.is_shrinkable`` (the sign of
-the letter before the shrinker's tail) and ``basis.compute_T``; and the
+``abs(key) - 1``) and ``subquandle._shrinkers`` (``abs(u[k]) - 1``, also
+the axis of a missing shrinker's key on the wait-list), which also answers
+a closure's shrinkers for ``basis.is_shrinkable`` (the sign of the letter
+before the shrinker's tail) and ``basis.compute_T``; and the
 significant-factor check's ``conj_quandle.shrink_index`` (``axis + 1`` of
 its ``(axis, letters)`` pairs) and ``conj_quandle.shrinkers`` (``abs(lt)``
 and the sign of ``lt``).  So do the folded graph's reads in

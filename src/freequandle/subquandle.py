@@ -10,7 +10,6 @@ it can be expressed as a term over the generators.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -108,7 +107,7 @@ class ClosureSet:
     def index(self) -> dict[int, dict]:
         """Per axis, each raw element's tail -> its position (:func:`_index`):
         the table :func:`closure` enumerated with, or else built on first use."""
-        return _index(self.raw)
+        return _index(self.raw, len(self.alphabet))
 
     def shrinkers(self, letters: tuple[int, ...]) -> list[int]:
         """The positions of the elements that shorten a tail ``letters``,
@@ -138,7 +137,7 @@ def _trie_insert(root, tail: tuple[int, ...], j: int) -> None:
     A node at depth d holds ``[children, by_len]``: ``by_len[k]`` lists, in
     index order, the elements below it whose tail has length d + k.  Every
     node of a non-empty trie lies on a filed tail, so its ``by_len`` is
-    never empty.
+    never empty.  :func:`_new_elements` files only tails below the bound.
     """
     node = root
     for k in range(len(tail), -1, -1):  # letters of tail still to read
@@ -171,7 +170,7 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
     off the same nodes: the suffixes of ``u`` and the children off its path
     on the way down, and the tails below the node of ``u`` at its end.
     The trie's groups are index-ordered, so the old indices of each are a
-    prefix of it, cut at ``prev`` once.
+    prefix of it, cut at ``prev`` once.  No tail filed has L letters.
     """
     lu = len(u)
     reach = (bound - lu - 1) // 2  # most letters of t past the shared suffix
@@ -196,16 +195,13 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
                     if back > 0:
                         olds += child[1][:back]
         node = children[key]
-    x = axis + 1
-    # u is a suffix of v, and |v| < bound or a^±1 u ends v
-    olds += node[1][:bound - lu]
-    for child in filter(None, map(node[0].get, (x, -x))):
-        olds += child[1][bound - lu - 1:bound - lu]
+    olds += node[1]  # u is a suffix of v
     old: list[int] = []
     for group in olds:
         if group and group[0] < prev:
             old += group[:bisect_left(group, prev)]
     # u is a suffix of t = q x^k u; walk the runs x^k, x^-k
+    x = axis + 1
     run = [node]  # the nodes of x^k u, one per sign once k > 0
     for k in range(bound - lu):  # |u| + k + 1 <= bound
         reach = (bound - lu - k - 1) // 2  # most letters of q
@@ -227,25 +223,32 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
     return out, old
 
 
-def _index(elements: list[RawElement]) -> dict[int, dict]:
+def _index(elements: list[RawElement], axes: Optional[int] = None) -> dict[int, dict]:
     """Per axis, each element's tail -> its position in ``elements``: the
-    table :func:`_new_elements` extends as it enumerates."""
-    index: dict[int, dict] = defaultdict(dict)
+    table :func:`_new_elements` extends.  It holds a dict for each of the
+    first ``axes`` axes (by default all the elements name), so reads add none."""
+    if axes is None:
+        axes = max((abs(x) for a, t in elements for x in (a + 1, *t)), default=0)
+    index: dict[int, dict] = {a: {} for a in range(axes)}
     for k, (axis, tail) in enumerate(elements):
         index[axis][tail] = k
     return index
 
 
-def _shrinkers(seen, u: tuple[int, ...]) -> list[int]:
+def _shrinkers(seen, u: tuple[int, ...], waiting=None, i: int = -1) -> list[int]:
     """The indices in ``seen`` (per axis, tail -> index) of the elements
     that shorten an element with tail ``u``, sorted: for each proper suffix
     ``t`` of ``u``, the ``a^t`` with ``a`` the generator of the letter
-    before ``t`` (:func:`conj_quandle.shrinkers`)."""
+    before ``t`` (:func:`conj_quandle.shrinkers`).  Given ``waiting``, it
+    files ``i`` there under each ``(a, t)`` that ``seen`` lacks."""
     out = []
-    for k in range(len(u)):  # t = u[k + 1:]
-        j = seen[abs(u[k]) - 1].get(u[k + 1:])
+    for k in range(len(u)):
+        a, t = abs(u[k]) - 1, u[k + 1:]
+        j = seen[a].get(t)
         if j is not None:
             out.append(j)
+        elif waiting is not None:
+            waiting.setdefault((a, t), []).append(i)
     out.sort()
     return out
 
@@ -288,29 +291,29 @@ def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
     the trials that can land within the bound, and only those that cancel
     the whole tail pass through :func:`conj_quandle.canonical_tail`: a
     product that keeps the first letter of a canonical ``tail`` is already
-    canonical.  The trie is built per call and extended only between
-    rounds.  The two acting words of ``a^t`` differ only in their middle
-    letter, so one scan of the common suffix serves both eps.  Where
-    neither tail is a suffix of the other, the walk has already bounded
-    the exact length of both products, so a product is measured only
-    where one tail is a suffix of the other.
+    canonical.  The trie is built per call, extended only between rounds,
+    and holds only the elements below the bound (see below).  The two
+    acting words of ``a^t`` differ only in their middle letter, so one
+    scan of the common suffix serves both eps.  Where neither tail is a
+    suffix of the other, the walk has already bounded the exact length of
+    both products, so a product is measured only where one tail is a
+    suffix of the other.
 
     Each round walks the trie once per new element below the bound, at
     its start (:func:`_walk`), and old elements never walk again.  An old
     i pairs only with the new j, so the walk of a new ``a^u`` also reads
-    the bounds above from the other side: it returns the old ``x^v`` that
-    ``a^u`` may act on within L.  With ``back = L - 1 - 2|u| + s`` at depth s, they are
-    the ``v`` that
-    - end in ``u``, with ``|v| <= L - 1``, or ``|v| = L`` and ``a^±1`` the
-      letter before ``u`` (the shrinks below);
+    the bounds above from the other side: it returns the old ``x^v`` below
+    the bound that ``a^u`` may act on within L.  With
+    ``back = L - 1 - 2|u| + s`` at depth s, they are the ``v`` that
+    - end in ``u``;
     - leave the suffix of ``u`` at depth s, with ``|v| - s <= back``, that
       is ``|v| + 2(|u| - s) + 1 <= L``;
     - are proper suffixes of ``u = q x^k v`` (``s = |v|``), with ``x^k`` the
       longest run of ``x^±1`` before ``v`` and ``k >= -back``, that is
       ``2|u| - |v| - k + 1 <= L``.
     Each new i keeps its sorted candidates until its turn; each old i
-    takes, ascending, the new j whose walks found it, and an old i that
-    none found is skipped.
+    takes, ascending, the new j that found it, and an old i that none found
+    is skipped.
 
     Two kinds of trial are skipped, because they can only rediscover:
     ``j = i``, since ``act(e, e, ±1) = e``, and the eps that undoes i's own
@@ -320,52 +323,51 @@ def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
     only rediscovers.  Without it, the last round finds nothing.
 
     A product keeps the axis of ``elements[i]``, so ``seen`` holds one
-    dict from tail to index per axis, looked up once per i.  Most
-    within-bound products are rediscoveries (8,422 of 9,878 for
-    ``{x^(y), y}`` at L = 6), and each then costs one hash of its tail;
-    the ``(axis, tail)`` pair is built only for a new element.
+    dict from tail to index per axis, looked up once per i.  Most products
+    within the bound are rediscoveries (8,422 of 9,878 for ``{x^(y), y}``
+    at L = 6), each costing one hash of its tail.
 
-    Near the bound fewer elements qualify.  At ``|tail| = L`` only a shrink
-    stays within L: of the ``a^t`` with ``t`` a proper suffix of ``tail``,
-    those with ``a`` the generator of the letter before ``t``.  A suffix
-    hit with the wrong axis has L + 1 letters, every other product more,
-    and ``t = tail`` gives ``elements[i]`` itself or L + 1 letters.  So a
-    new element at the bound does not walk: :func:`_shrinkers` looks up
-    its candidates in ``seen``, one lookup per proper suffix, before the
-    round's first trial, so they are old.  Nor does it act on any old
-    element within L, since with ``|u| = L`` none of the three cases
-    above holds: a ``v`` ending in ``u`` has ``|v| >= L`` and, at
-    ``|v| = L``, no letter before ``u``; leaving the suffix at depth
-    ``s < L`` asks ``s < |v| <= 2s - L - 1``; and ``u = q x^k v`` asks a
-    run of ``k >= L + 1 - |v|`` letters in ``L - |v|``.  Its trials need no
+    At ``|tail| = L`` only a shrink stays within L: of the ``a^t`` with
+    ``t`` a proper suffix of ``tail``, those with ``a`` the generator of
+    the letter before ``t``.  A suffix hit with the wrong axis has L + 1
+    letters, every other product more, and ``t = tail`` gives
+    ``elements[i]`` itself or L + 1 letters.  Such an element acts on none
+    within L, so it is never a candidate, and it is neither filed in the
+    trie nor given acting words.  A new one does not walk: :func:`_shrinkers`
+    looks up its candidates in ``seen``, one lookup per proper suffix,
+    before the round's first trial, so they are old.  The elements that
+    shrink it later, the ``a^u`` with ``a^±1 u`` ending its tail, are new
+    in a later round: each lookup that misses files it in a wait-list
+    under that ``(a, u)``, and ``a^u``, at the start of its round, takes
+    the elements waiting for it as old i.  Trials at the bound need no
     suffix scan: for the candidate ``a^t`` the letter ``tail[k]``, with
     ``k = L - |t| - 1``, is ``a^∓1``, so ``eps = -sign(tail[k])`` deletes
     it from ``tail · t^-1 a^eps t``, and the other eps gives L + 1 letters.
     The two ends left, ``tail[:k]`` and ``t``, cancel while
     ``tail[k - 1 - d] == -tail[k + 1 + d]``, and only a cancellation that
-    reaches the front goes through :func:`conj_quandle.canonical_tail`.  At
-    ``|tail| = L - 1`` only the elements whose tail is a suffix of
-    ``tail`` qualify: ``reach`` is 0, so no sibling candidate exists, and
-    a run letter (k >= 1) leaves L + k letters, so no run candidate
-    exists.
+    reaches the front goes through :func:`conj_quandle.canonical_tail`.
     """
-    acting = [_acting_words(e) for e in elements]
     # (j, eps) with act(elements[k], elements[j], eps) already found
     undo = [(-1, 0)] * len(elements)
-    trie = [{}, []]  # of elements[:done]
+    trie = [{}, []]  # of the elements of elements[:done] below the bound
+    acting = {}  # their acting words, by index
+    waiting: dict[RawElement, list[int]] = {}  # missing shrinker -> i at the bound
     done = 0  # pairs among elements[:done] are already tried
     while done < len(elements) != size:  # a round found something, short of size
         prev, done = done, len(elements)
         for j in range(prev, done):
-            _trie_insert(trie, elements[j][1], j)
+            if len(elements[j][1]) < bound:
+                _trie_insert(trie, elements[j][1], j)
+                acting[j] = _acting_words(elements[j])
         near: dict[int, list[int]] = {}  # old i -> its new j, ascending
         forward = []  # each new i's candidates, sorted
         for j, (a, u) in enumerate(elements[prev:done], prev):
             if len(u) == bound:  # acts on no old element within L
-                forward.append(_shrinkers(seen, u))
+                forward.append(_shrinkers(seen, u, waiting, j))
                 continue
             candidates, acted_on = _walk(trie, elements, a, u, bound, prev)
             forward.append(candidates)
+            acted_on += waiting.pop((a, u), ())
             for i in acted_on:
                 near.setdefault(i, []).append(j)
         for i, candidates in chain(sorted(near.items()), enumerate(forward, prev)):
@@ -390,9 +392,7 @@ def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
                     if product in found:
                         continue
                     found[product] = len(elements)
-                    res = (axis, product)
-                    elements.append(res)
-                    acting.append(_acting_words(res))
+                    elements.append((axis, product))
                     undo.append((j, -eps))
                     yield i, j, eps
                     if len(elements) == size:
@@ -428,9 +428,7 @@ def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
                     if product in found:
                         continue
                     found[product] = len(elements)
-                    res = (axis, product)
-                    elements.append(res)
-                    acting.append(_acting_words(res))
+                    elements.append((axis, product))
                     undo.append((j, -eps))
                     yield i, j, eps
                     if len(elements) == size:
@@ -522,7 +520,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None
         graph = graph or SubquandleGraph(gens)
         size = _size(graph, bound, max_elements)
     elements: list[RawElement] = [(g.axis, g.tail.letters) for g in gens]
-    index = _index(elements)
+    index = _index(elements, len(gens[0].alphabet))
     steps: list[tuple[int, int, int]] = []  # of elements[len(gens):]
 
     missing = None

@@ -10,6 +10,7 @@ from freequandle import free_group as fg
 from freequandle import subquandle as sq
 from freequandle.errors import ClosureTooLarge
 from freequandle.free_group import Alphabet
+from freequandle.stallings import SubquandleGraph
 
 XY = Alphabet(("x", "y"))
 
@@ -326,6 +327,45 @@ class TestGreedyShrink:
                     working[working.index(mv.target)] = mv.result
                     working = list(dict.fromkeys(working))
             assert tuple(working) == report.candidate
+
+
+    def test_moves_keep_the_subquandle(self, corpus_closures):
+        # each move is by the first shrinker of the first target, in working
+        # order and then closure order, that lies in the subquandle of the
+        # other working elements, so the working set keeps generating the
+        # input: greedy certifies every corpus problem at L = 8 and every
+        # scrambled problem at its longest tail (if its closure there has
+        # at most 2,000 elements)
+        closures = [c for _, c in corpus_closures]
+        for gens in scrambled_problems(random.Random(28), 150):
+            try:
+                closures.append(sq.closure(gens, max(len(g.tail) for g in gens), 2000))
+            except ClosureTooLarge:
+                pass
+        assert len(closures) >= 230
+        for c in closures:
+            report = bs.greedy_shrink(c)
+            working = list(c.generators)
+            for mv in report.moves + (None,):
+                wc, first = sq.closure(working, c.bound), None
+                for ti, target in enumerate(working):
+                    v, rest = target.tail.letters, None
+                    for a, t in wc.raw:
+                        if len(t) < len(v) and v[-len(t) - 1:] in ((a + 1, *t), (-a - 1, *t)):
+                            if rest is None:
+                                rest = SubquandleGraph(working[:ti] + working[ti + 1:])
+                            q = cq.QuandleElement(a, fg.Word(c.alphabet, t))
+                            if rest.member(q):
+                                first = (target, q)
+                                break
+                    if first is not None:
+                        break
+                assert first == (mv and (mv.target, mv.by))
+                if mv is not None:
+                    working[working.index(mv.target)] = mv.result
+                    working = list(dict.fromkeys(working))
+            assert tuple(working) == report.candidate
+            assert report.certified, c.generators
 
 
 class TestInheritedBudget:

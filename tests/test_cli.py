@@ -363,22 +363,29 @@ class TestBasis:
 
     @pytest.mark.parametrize("bound", ["3", "7"])
     def test_greedy_missing_witness(self, capsys, tmp_path, bound):
-        # greedy shortens x^(y^-1 y^-1) by y, which only that generator
-        # derives: the candidate generates a smaller subquandle at every L,
-        # while the paper method certifies {x, y} at L = 3
+        # y, the first shrinker of x^(y^-1 y^-1), is derived only through
+        # that generator, so greedy may not move it by y first (it used to,
+        # and printed a MISSING witness at every L).  It shortens the other
+        # generator to y first, and then certifies {x, y}, as the paper
+        # method does at L = 3
         path = tmp_path / "scrambled.txt"
         path.write_text("alphabet: x y\nx^(y^-1 y^-1)\ny^(x y^-1 y^-1)\n")
         argv = ["basis", str(path), "--method", "greedy", "--max-tail-len", bound]
         code, out, _ = run(capsys, *argv)
-        assert code == 1
-        assert ("witnesses:\n"
-                "  x^(y^-1 y^-1) = MISSING (not generated by the candidate)\n"
-                "  y^(x y^-1 y^-1) = g1\n") in out
+        assert code == 0
+        assert ("candidate basis: x, y\n"
+                "moves:\n"
+                "  y^(x y^-1 y^-1) < x^(y^-1 y^-1)  ->  y\n"
+                "  x^(y^-1 y^-1) > y  ->  x^(y^-1)\n"
+                "  x^(y^-1) > y  ->  x\n"
+                "witnesses:\n"
+                "  x^(y^-1 y^-1) = ((g0 < g1) < g1)\n"
+                "  y^(x y^-1 y^-1) = (g1 > ((g0 < g1) < g1))\n") in out
+        assert out.endswith("certified free basis\n")
         code, out, _ = run(capsys, *argv, "--format", "machine")
-        assert code == 1
-        assert ("kind=witness\tgenerator=x^(y^-1 y^-1)\tterm=MISSING\n"
-                "kind=witness\tgenerator=y^(x y^-1 y^-1)\tterm=g1\n") in out
-        assert "kind=certified\tvalue=no" in out
+        assert code == 0
+        assert "term=MISSING" not in out
+        assert "kind=certified\tvalue=yes" in out
 
 
 class TestCheckIndependence:

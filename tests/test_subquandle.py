@@ -214,6 +214,8 @@ class TestIndexedLoop:
     @example(([(0, ()), (1, ())], 3))                      # v a proper suffix of u
     @example(([(0, ()), (1, ())], 2))                      # ... after an x-run it strips
     @example(([(1, (3,)), (0, (3,))], 3))                  # ... before a one-letter v
+    # z^(y) at the bound waits for its shrinker y, found a round later
+    @example(([(0, ()), (2, (2,)), (1, (1,))], 1))
     def test_same_elements_and_derivations(self, case):
         gens, bound = case
         size = _exact_size(gens, bound)
@@ -241,9 +243,9 @@ class TestStop:
             lengths.append(len(elements))
             return real_walk(root, elements, *args)
 
-        def shrinkers(seen, u):
+        def shrinkers(seen, u, *args):
             lengths.append(sum(map(len, seen.values())))
-            return real_shrinkers(seen, u)
+            return real_shrinkers(seen, u, *args)
 
         monkeypatch.setattr(sq, "_walk", walk)
         monkeypatch.setattr(sq, "_shrinkers", shrinkers)
@@ -273,9 +275,9 @@ class TestStop:
             walked.append((axis, u))
             return real_walk(root, elements, axis, u, *args)
 
-        def shrinkers(seen, u):
+        def shrinkers(seen, u, *args):
             looked_up.append(u)
-            return real_shrinkers(seen, u)
+            return real_shrinkers(seen, u, *args)
 
         monkeypatch.setattr(sq, "_walk", walk)
         monkeypatch.setattr(sq, "_shrinkers", shrinkers)
@@ -316,15 +318,80 @@ class TestStop:
         assert walks
 
 
+class TestWaitList:
+    def test_elements_at_the_bound_wait(self, monkeypatch, corpus_closures,
+                                        baseline_closures):
+        # an element whose tail has L letters is in no list of the trie and
+        # gets no acting words.  A new a^u below the bound pairs with the old
+        # elements waiting for it, exactly those a trie of all elements
+        # holds at the bound under the children a^±1 of u's node, below
+        # prev.  No key left waiting names an element of the closure.  The
+        # corpus and baseline closures have no such pair; the three last
+        # closures do
+        closures = [c for _, c in corpus_closures] + list(baseline_closures)
+        closures += [sq.closure([cq.parse_element(XYZ, g) for g in gens], bound)
+                     for gens, bound in ((("x", "z^(y)", "y^(x)"), 1),
+                                         (("z^(x y y y)", "y", "y^(x^-1 z^-1 x)"), 4),
+                                         (("x^(z^-1 x^-1 z x)", "x^(z x)"), 4))]
+        state, acted = {}, []
+        real_walk, real_shrinkers, real_acting = sq._walk, sq._shrinkers, sq._acting_words
+
+        def shrinkers(seen, u, waiting=None, i=-1):
+            if waiting is not None:
+                state["waiting"] = waiting
+            return real_shrinkers(seen, u, waiting, i)
+
+        def walk(root, elements, axis, u, bound, prev):
+            state["trie"] = root
+            node, lu = state["all"], len(u)
+            for key in reversed(u):
+                node = node[0][key]
+            read = [i for child in filter(None, map(node[0].get, (axis + 1, -axis - 1)))
+                    for group in child[1][bound - lu - 1:bound - lu]
+                    for i in group if i < prev]
+            assert sorted(state.get("waiting", {}).get((axis, u), ())) == read
+            state["pairs"] += len(read)
+            return real_walk(root, elements, axis, u, bound, prev)
+
+        def acting_words(e):
+            acted.append(e)
+            return real_acting(e)
+
+        monkeypatch.setattr(sq, "_walk", walk)
+        monkeypatch.setattr(sq, "_shrinkers", shrinkers)
+        monkeypatch.setattr(sq, "_acting_words", acting_words)
+        pairs = 0
+        for c in closures:
+            state.clear()
+            state.update(all=[{}, []], pairs=0)
+            for j, (_, tail) in enumerate(c.raw):
+                sq._trie_insert(state["all"], tail, j)
+            acted.clear()
+            elements = [(g.axis, g.tail.letters) for g in c.generators]
+            for _ in sq._new_elements(elements, sq._index(elements), c.bound):
+                pass
+            assert elements == list(c.raw)
+            assert sorted(acted) == sorted(e for e in c.raw if len(e[1]) < c.bound)
+            nodes = [(state.get("trie", [{}, []]), 0)]
+            while nodes:
+                (children, by_len), depth = nodes.pop()
+                for k, group in enumerate(by_len):
+                    assert all(len(elements[i][1]) == depth + k < c.bound for i in group)
+                nodes += [(child, depth + 1) for child in children.values()]
+            assert not any(t in c.index[a] for a, t in state.get("waiting", {}))
+            pairs += state["pairs"]
+        assert pairs > 0
+
+
 class TestIndex:
     def test_one_table_per_closure(self, monkeypatch, corpus_closures, baseline_closures):
         # closure() builds one table of positions, enumerates with it and
-        # keeps it as c.index, whole or stopped; a lookup of an axis that
-        # holds no element leaves it an empty dict
+        # keeps it as c.index, whole or stopped.  It holds a dict for every
+        # axis of the alphabet, so reads leave it as it is
         real, tables = sq._index, []
 
-        def spy(elements):
-            tables.append(real(elements))
+        def spy(elements, *args):
+            tables.append(real(elements, *args))
             return tables[-1]
 
         monkeypatch.setattr(sq, "_index", spy)
@@ -336,7 +403,14 @@ class TestIndex:
                 tables.clear()
                 built = sq.closure(c.generators, c.bound, stop_when_contains=targets)
                 assert len(tables) == 1 and built.index is tables[0]
-                assert {a: d for a, d in built.index.items() if d} == real(built.raw)
+                n = len(built.alphabet)
+                whole = real(built.raw, n)
+                assert built.index == whole
+                # a member read and a shrinker lookup on every axis
+                assert [cq.QuandleElement(a, fg.Word(built.alphabet, ())) in built
+                        for a in range(n)] == [() in whole[a] for a in range(n)]
+                built.shrinkers(tuple(range(n, 0, -1)) * 2)
+                assert built.index == whole
 
 
 class TestCandidates:
@@ -401,10 +475,13 @@ class TestCandidates:
     def test_reverse_lookups(self, corpus_closures, baseline_closures):
         # on whole closures, at every tail length: every (i, j) with a
         # product within the bound other than elements[i] itself is found
-        # from j; j's walk finds i exactly when i's walk or shrinker lookup
-        # finds j; the old indices below prev are those at prev = n, cut;
-        # and at |tail_i| = L the shrinker lookup returns exactly the
-        # within-bound j.  Only the elements below the bound walk
+        # from j; j's walk, or for i at the bound the wait-list, finds i
+        # exactly when i's walk or shrinker lookup finds j; the old indices
+        # below prev are those at prev = n, cut; and at |tail_i| = L the
+        # shrinker lookup returns exactly the within-bound j.  Only the
+        # elements below the bound walk, and only they are in the trie.
+        # Each element at the bound waits for all its shrinkers, as if it
+        # had looked them up before any of them was found
         closures = [c for _, c in corpus_closures]
         closures += [c for c in baseline_closures if len(c) <= 2_000]
         checked = 0
@@ -413,8 +490,13 @@ class TestCandidates:
             bound, n = c.bound, len(elements)
             trie = [{}, []]
             for j, (_, tail) in enumerate(elements):
-                sq._trie_insert(trie, tail, j)
+                if len(tail) < bound:
+                    sq._trie_insert(trie, tail, j)
             seen = sq._index(elements)
+            nothing, waiting = sq._index([], len(c.alphabet)), {}
+            for i, (_, v) in enumerate(elements):
+                if len(v) == bound:
+                    assert sq._shrinkers(nothing, v, waiting, i) == []
             found = [set() for _ in elements]
             forward = []
             for j, (a, u) in enumerate(elements):
@@ -425,9 +507,12 @@ class TestCandidates:
                 forward.append(candidates)
                 assert sq._walk(trie, elements, a, u, bound, n // 2)[1] == [
                     i for i in targets if i < n // 2]
+                assert all(len(elements[i][1]) < bound for i in targets)
+                targets += waiting.pop((a, u), ())
                 assert len(set(targets)) == len(targets)
                 for i in targets:
                     found[i].add(j)
+            assert not any(t in seen[a] for a, t in waiting)
             words = [(gw, fg.inverse(gw)) for gw in
                      (fg.conjugate_word(*e) for e in elements)]
             for i, (axis, tail) in enumerate(elements):
