@@ -325,9 +325,9 @@ class TestWaitList:
         # gets no acting words.  A new a^u below the bound pairs with the old
         # elements waiting for it, exactly those a trie of all elements
         # holds at the bound under the children a^±1 of u's node, below
-        # prev.  No key left waiting names an element of the closure.  The
-        # corpus and baseline closures have no such pair; the three last
-        # closures do
+        # prev (the walk spy reads the wait-list before a^u takes from it).
+        # No key left waiting names an element of the closure.  The corpus
+        # and baseline closures have no such pair; the three last ones do
         closures = [c for _, c in corpus_closures] + list(baseline_closures)
         closures += [sq.closure([cq.parse_element(XYZ, g) for g in gens], bound)
                      for gens, bound in ((("x", "z^(y)", "y^(x)"), 1),
