@@ -80,12 +80,10 @@ def is_shrinkable(w: Word, axis: int, c: ClosureSet) -> Optional[ShrinkMove]:
     tail parity).  Of the closure, only the shrinking element is wrapped.
     """
     hits = c.shrinkers(w.letters)
-    return _move(QuandleElement(axis, w), _element(c, hits[0])) if hits else None
-
-
-def _element(c: ClosureSet, k: int) -> QuandleElement:
-    axis, t = c.raw[k]
-    return QuandleElement(axis, Word(c.alphabet, t))
+    if not hits:
+        return None
+    a, t = c.raw[hits[0]]
+    return _move(QuandleElement(axis, w), QuandleElement(a, Word(c.alphabet, t)))
 
 
 def _move(target: QuandleElement, q: QuandleElement) -> ShrinkMove:
@@ -222,7 +220,9 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
             hits = wc.shrinkers(target.tail.letters)
             if hits:  # the others fold only for a target that has shrinkers
                 rest = SubquandleGraph(working[:ti] + working[ti + 1:])
-                q = next(filter(rest.member, (_element(wc, k) for k in hits)), None)
+                shrinkers = (QuandleElement(a, Word(wc.alphabet, t))
+                             for a, t in (wc.raw[k] for k in hits))
+                q = next(filter(rest.member, shrinkers), None)
                 if q is not None:
                     break
         else:

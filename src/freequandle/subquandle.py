@@ -223,32 +223,31 @@ def _walk(root, elements: list[RawElement], axis: int, u: tuple[int, ...],
     return out, old
 
 
-def _index(elements: list[RawElement], axes: Optional[int] = None) -> dict[int, dict]:
+def _index(elements: list[RawElement], axes: int) -> dict[int, dict]:
     """Per axis, each element's tail -> its position in ``elements``: the
     table :func:`_new_elements` extends.  It holds a dict for each of the
-    first ``axes`` axes (by default all the elements name), so reads add none."""
-    if axes is None:
-        axes = max((abs(x) for a, t in elements for x in (a + 1, *t)), default=0)
+    ``axes`` axes of the alphabet, so reads add none."""
     index: dict[int, dict] = {a: {} for a in range(axes)}
     for k, (axis, tail) in enumerate(elements):
         index[axis][tail] = k
     return index
 
 
-def _shrinkers(seen, u: tuple[int, ...], waiting=None, i: int = -1) -> list[int]:
+def _shrinkers(seen, u: tuple[int, ...], misses=None) -> list[int]:
     """The indices in ``seen`` (per axis, tail -> index) of the elements
     that shorten an element with tail ``u``, sorted: for each proper suffix
     ``t`` of ``u``, the ``a^t`` with ``a`` the generator of the letter
-    before ``t`` (:func:`conj_quandle.shrinkers`).  Given ``waiting``, it
-    files ``i`` there under each ``(a, t)`` that ``seen`` lacks."""
+    before ``t`` (:func:`conj_quandle.shrinkers`).  Given ``misses =
+    (waiting, i)``, it files ``i`` in ``waiting`` under each ``(a, t)``
+    that ``seen`` lacks."""
     out = []
     for k in range(len(u)):
         a, t = abs(u[k]) - 1, u[k + 1:]
         j = seen[a].get(t)
         if j is not None:
             out.append(j)
-        elif waiting is not None:
-            waiting.setdefault((a, t), []).append(i)
+        elif misses is not None:
+            misses[0].setdefault((a, t), []).append(misses[1])
     out.sort()
     return out
 
@@ -363,7 +362,7 @@ def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
         forward = []  # each new i's candidates, sorted
         for j, (a, u) in enumerate(elements[prev:done], prev):
             if len(u) == bound:  # acts on no old element within L
-                forward.append(_shrinkers(seen, u, waiting, j))
+                forward.append(_shrinkers(seen, u, (waiting, j)))
                 continue
             candidates, acted_on = _walk(trie, elements, a, u, bound, prev)
             forward.append(candidates)

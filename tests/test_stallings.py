@@ -70,7 +70,7 @@ class TestGraphAgainstClosure:
         for c in problems:
             graph = SubquandleGraph(c.generators)
             elements = [(g.axis, g.tail.letters) for g in c.generators]
-            for _ in sq._new_elements(elements, sq._index(elements), c.bound):
+            for _ in sq._new_elements(elements, sq._index(elements, len(c.alphabet)), c.bound):
                 pass
             assert graph.size_within(c.bound) == len(elements)
             assert elements == [(e.axis, e.tail.letters) for e in c.elements]

@@ -222,7 +222,8 @@ class TestIndexedLoop:
         limit = PREFIX if size > WHOLE else None
         ref, new = list(gens), list(gens)
         want = list(itertools.islice(_all_pairs_new_elements(ref, bound), limit))
-        got = list(itertools.islice(sq._new_elements(new, sq._index(new), bound, size), limit))
+        index = sq._index(new, len(XYZ))
+        got = list(itertools.islice(sq._new_elements(new, index, bound, size), limit))
         assert got == want
         assert new == ref
         if limit is None:
@@ -258,7 +259,7 @@ class TestStop:
             assert max(lengths, default=0) < size
             lengths.clear()
             elements = [(g.axis, g.tail.letters) for g in c.generators]
-            for _ in sq._new_elements(elements, sq._index(elements), c.bound):
+            for _ in sq._new_elements(elements, sq._index(elements, len(c.alphabet)), c.bound):
                 pass
             assert len(elements) == size == max(lengths)
 
@@ -290,7 +291,7 @@ class TestStop:
             walked.clear()
             looked_up.clear()
             elements = [(g.axis, g.tail.letters) for g in c.generators]
-            for _ in sq._new_elements(elements, sq._index(elements), c.bound):
+            for _ in sq._new_elements(elements, sq._index(elements, len(c.alphabet)), c.bound):
                 pass
             assert len(set(walked)) == len(walked) and set(walked) == below
             assert len(looked_up) == len(c) - len(below)
@@ -336,10 +337,10 @@ class TestWaitList:
         state, acted = {}, []
         real_walk, real_shrinkers, real_acting = sq._walk, sq._shrinkers, sq._acting_words
 
-        def shrinkers(seen, u, waiting=None, i=-1):
-            if waiting is not None:
-                state["waiting"] = waiting
-            return real_shrinkers(seen, u, waiting, i)
+        def shrinkers(seen, u, misses=None):
+            if misses is not None:
+                state["waiting"] = misses[0]
+            return real_shrinkers(seen, u, misses)
 
         def walk(root, elements, axis, u, bound, prev):
             state["trie"] = root
@@ -368,7 +369,7 @@ class TestWaitList:
                 sq._trie_insert(state["all"], tail, j)
             acted.clear()
             elements = [(g.axis, g.tail.letters) for g in c.generators]
-            for _ in sq._new_elements(elements, sq._index(elements), c.bound):
+            for _ in sq._new_elements(elements, sq._index(elements, len(c.alphabet)), c.bound):
                 pass
             assert elements == list(c.raw)
             assert sorted(acted) == sorted(e for e in c.raw if len(e[1]) < c.bound)
@@ -459,7 +460,7 @@ class TestCandidates:
                 sq._trie_insert(trie, tail, j)
             words = [(gw, fg.inverse(gw)) for gw in
                      (fg.conjugate_word(*e) for e in elements)]
-            seen = sq._index(elements)
+            seen = sq._index(elements, len(c.alphabet))
             for axis, tail in elements:
                 if len(tail) == bound:
                     candidates = set(sq._shrinkers(seen, tail))
@@ -492,11 +493,11 @@ class TestCandidates:
             for j, (_, tail) in enumerate(elements):
                 if len(tail) < bound:
                     sq._trie_insert(trie, tail, j)
-            seen = sq._index(elements)
+            seen = sq._index(elements, len(c.alphabet))
             nothing, waiting = sq._index([], len(c.alphabet)), {}
             for i, (_, v) in enumerate(elements):
                 if len(v) == bound:
-                    assert sq._shrinkers(nothing, v, waiting, i) == []
+                    assert sq._shrinkers(nothing, v, (waiting, i)) == []
             found = [set() for _ in elements]
             forward = []
             for j, (a, u) in enumerate(elements):
@@ -547,8 +548,8 @@ class TestCandidates:
         assert cq.act(a, q, eps) == product
         assert len(cq.act(a, q, -eps).tail) == bound + 1
         elements = [(a.axis, a.tail.letters), (q.axis, q.tail.letters)]
-        assert sq._shrinkers(sq._index(elements), a.tail.letters) == [1]
-        assert next(sq._new_elements(elements, sq._index(elements), bound)) == (0, 1, eps)
+        assert sq._shrinkers(sq._index(elements, len(XYZ)), a.tail.letters) == [1]
+        assert next(sq._new_elements(elements, sq._index(elements, len(XYZ)), bound)) == (0, 1, eps)
         assert elements[2] == (product.axis, product.tail.letters)
 
 
