@@ -17,7 +17,7 @@ from .conj_quandle import (
     LEFT,
 )
 from .subquandle import ClosureSet, QuandleTerm, closure, express
-from .basis import BasisReport, ShrinkMove, compute_S, compute_T, greedy_shrink, is_shrinkable
+from .basis import BasisReport, ShrinkMove, compute_S, compute_T, greedy_shrink
 from .independence import (
     IndependenceReport,
     check_significant_factors,
@@ -29,8 +29,7 @@ __all__ = [
     "QuandleElement", "act", "canonicalize", "from_group_word",
     "to_group_word", "verify_axioms", "RIGHT", "LEFT",
     "ClosureSet", "QuandleTerm", "closure", "express",
-    "BasisReport", "ShrinkMove", "compute_S", "compute_T",
-    "greedy_shrink", "is_shrinkable",
+    "BasisReport", "ShrinkMove", "compute_S", "compute_T", "greedy_shrink",
     "IndependenceReport", "check_significant_factors", "nielsen_independent",
 ]
 

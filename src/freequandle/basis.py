@@ -68,31 +68,6 @@ class BasisReport:
                 and not self.missing_witnesses)
 
 
-def is_shrinkable(w: Word, axis: int, c: ClosureSet) -> Optional[ShrinkMove]:
-    """First closure element (and eps) that shortens w, if any.
-
-    The first move of a scan over the closure elements in insertion order,
-    eps -1 before +1: the least of w's shrinkers in the closure
-    (:meth:`ClosureSet.shrinkers`).  Such an element ``y^u`` shortens w
-    with one eps only, since w ends with ``y^-eps u``
-    (:func:`conj_quandle.shrinkers`): eps is minus the sign of the letter
-    of w before u.  Equal-length results cannot occur (odd group words flip
-    tail parity).  Of the closure, only the shrinking element is wrapped.
-    """
-    hits = c.shrinkers(w.letters)
-    if not hits:
-        return None
-    a, t = c.raw[hits[0]]
-    return _move(QuandleElement(axis, w), QuandleElement(a, Word(c.alphabet, t)))
-
-
-def _move(target: QuandleElement, q: QuandleElement) -> ShrinkMove:
-    """The move of target by q, a shrinker of its tail: eps is minus the
-    sign of the letter of the tail before q's."""
-    eps = -1 if target.tail.letters[-len(q.tail) - 1] > 0 else 1
-    return ShrinkMove(target, q, eps, act(target, q, eps))
-
-
 def compute_T(axis: int, c: ClosureSet) -> list[Word]:
     """Closure tails on the given axis that no closure element can shorten:
     those with no shrinker in the closure (:meth:`ClosureSet.shrinkers`),
@@ -203,7 +178,12 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
     working elements shortens (read on their folded graph,
     :meth:`SubquandleGraph.member`), and the first such shrinker in
     closure order; it replaces the target by the move's result, re-dedupes
-    and re-closes.  The target is that result acted on by the same
+    and re-closes.  The shrinkers are read off the working closure
+    (:meth:`ClosureSet.shrinkers`).  A shrinker ``y^u`` shortens a tail
+    with one eps only, since the tail ends with ``y^-eps u``
+    (:func:`conj_quandle.shrinkers`): eps is minus the sign of the letter
+    of the tail before u.  A result of equal length cannot occur (odd group
+    words flip tail parity).  The target is that result acted on by the same
     shrinker with -eps, so every move keeps the subquandle of the working
     set that of the input.  Total tail length strictly decreases, so the
     loop terminates.  The witnesses come from the last working closure,
@@ -227,7 +207,8 @@ def greedy_shrink(c: ClosureSet) -> BasisReport:
                     break
         else:
             break
-        mv = _move(target, q)
+        eps = -1 if target.tail.letters[-len(q.tail) - 1] > 0 else 1
+        mv = ShrinkMove(target, q, eps, act(target, q, eps))
         moves.append(mv)
         working[ti] = mv.result
         working = list(dict.fromkeys(working))

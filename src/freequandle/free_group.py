@@ -29,8 +29,8 @@ the bound around one inverse (``axis + 1``).  The trie walks and lookups read th
 inline: the closure's ``subquandle._walk`` (``axis + 1``,
 ``abs(key) - 1``) and ``subquandle._shrinkers`` (``abs(u[k]) - 1``, also
 the axis of a missing shrinker's key on the wait-list), which also answers
-a closure's shrinkers for ``basis.is_shrinkable`` (the sign of the letter
-before the shrinker's tail) and ``basis.compute_T``; and the
+a closure's shrinkers for ``basis.compute_T`` and ``basis.greedy_shrink``
+(the sign of the letter before the shrinker's tail); and the
 significant-factor check's ``conj_quandle.shrink_index`` (``axis + 1`` of
 its ``(axis, letters)`` pairs) and ``conj_quandle.shrinkers`` (``abs(lt)``
 and the sign of ``lt``).  So do the folded graph's reads in

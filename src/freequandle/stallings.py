@@ -73,7 +73,7 @@ from typing import Optional
 
 from . import free_group as fg
 from .conj_quandle import QuandleElement
-from .errors import AlphabetMismatch
+from .errors import AlphabetMismatch, EmptyGeneratorSet
 from .free_group import Word
 
 
@@ -179,6 +179,8 @@ class SubquandleGraph:
 
     def __init__(self, elements):
         self.generators = tuple(elements)
+        if not self.generators:
+            raise EmptyGeneratorSet("a subquandle graph needs at least one element")
         self.alphabet = fg.one_alphabet(self.generators, "elements")
         self.fold = fold = _Folding(
             fg.conjugate_word(g.axis, g.tail.letters) for g in self.generators)
@@ -215,17 +217,14 @@ class SubquandleGraph:
         base = find(0)
         basis = set()
         for (p, x), k in self.loops.items():
-            v, path = base, []
+            v, steps = base, []
             for lt in fg.inverse(self.generators[k].tail.letters):
                 t = find(out[v][lt])
-                if t == v:  # a loop crossing
-                    continue
-                if path and path[-1] == -lt:
-                    path.pop()
-                else:
-                    path.append(lt)
+                if t != v:  # not a loop crossing
+                    steps.append(lt)
                 v = t
-            basis.add(QuandleElement(x - 1, Word(self.alphabet, fg.inverse(tuple(path)))))
+            path = fg.reduced_product((), steps)
+            basis.add(QuandleElement(x - 1, Word(self.alphabet, fg.inverse(path))))
         return frozenset(basis)
 
     def size_within(self, bound: int, cap: Optional[int] = None) -> int:

@@ -52,45 +52,27 @@ def rigid_closure():
     return sq.closure(els("x^(y)", "x^(y^-1)"), 4)
 
 
-class TestIsShrinkable:
+class TestShrinkers:
     def test_empty_tail_never_shrinks(self, small_closure):
-        assert bs.is_shrinkable(w("1"), 0, small_closure) is None
+        assert small_closure.shrinkers(()) == []
 
     def test_shrinks_by_generator(self, small_closure):
-        move = bs.is_shrinkable(w("y"), 0, small_closure)
-        assert move is not None
-        assert (move.by, move.eps, move.result) == (el("y"), -1, el("x"))
+        hits = small_closure.shrinkers(w("y").letters)
+        assert small_closure.elements[hits[0]] == el("y")
 
     def test_rigid_set(self, rigid_closure):
-        assert bs.is_shrinkable(w("y"), 0, rigid_closure) is None
-
-    def test_move_replays_and_descends(self, small_closure):
-        move = bs.is_shrinkable(w("x y"), 1, small_closure)
-        assert move is not None
-        assert cq.act(move.target, move.by, move.eps) == move.result
-        assert len(move.result.tail) < len(move.target.tail)
+        assert rigid_closure.shrinkers(w("y").letters) == []
 
     def test_oracle_brute_force(self, small_closure, corpus_closures):
-        # independent oracle: scan with explicit reduced multiplication
+        # independent oracle: every element that shortens the tail under
+        # explicit reduced multiplication, for some eps
         closures = [small_closure] + [c for _, c in corpus_closures if len(c) <= 200]
         for c in closures:
+            words = [(gw, fg.invert(gw)) for gw in map(cq.to_group_word, c.elements)]
             for e in c.elements:
-                expected = None
-                for q in c.elements:
-                    for eps in (-1, 1):
-                        gw = cq.to_group_word(q)
-                        if eps == -1:
-                            gw = fg.invert(gw)
-                        if len(fg.multiply(e.tail, gw)) < len(e.tail):
-                            expected = (q, eps)
-                            break
-                    if expected:
-                        break
-                move = bs.is_shrinkable(e.tail, e.axis, c)
-                if expected is None:
-                    assert move is None
-                else:
-                    assert (move.by, move.eps) == expected
+                expected = [k for k, pair in enumerate(words)
+                            if any(len(fg.multiply(e.tail, g)) < len(e.tail) for g in pair)]
+                assert c.shrinkers(e.tail.letters) == expected
 
 
 def _ref_shrinks(tail, q, eps):
@@ -101,13 +83,10 @@ def _ref_shrinks(tail, q, eps):
     return len(tail) >= k and tail[-k:] == suffix
 
 
-def _ref_is_shrinkable(w, axis, c):
-    target = cq.QuandleElement(axis, w)
-    for q in c.elements:
-        for eps in (-1, 1):
-            if _ref_shrinks(w.letters, q, eps):
-                return bs.ShrinkMove(target, q, eps, cq.act(target, q, eps))
-    return None
+def _ref_first_shrinker(tail, c):
+    """The first position the scan finds, eps -1 before +1, or None."""
+    return next((k for k, q in enumerate(c.elements) for eps in (-1, 1)
+                 if _ref_shrinks(tail, q, eps)), None)
 
 
 class TestSuffixIndex:
@@ -118,17 +97,18 @@ class TestSuffixIndex:
                 + [c for _, c in corpus_closures] + baseline_closures)
 
     def test_same_moves_as_scan(self, closures):
+        # the first shrinker only: the full scan takes minutes here
         for c in closures:
             for e in c.elements:
-                assert bs.is_shrinkable(e.tail, e.axis, c) == \
-                    _ref_is_shrinkable(e.tail, e.axis, c)
+                first = _ref_first_shrinker(e.tail.letters, c)
+                assert c.shrinkers(e.tail.letters)[:1] == ([] if first is None else [first])
 
     def test_same_tails_as_scan(self, closures):
         for c in closures:
             for axis in range(len(c.alphabet)):
                 assert bs.compute_T(axis, c) == [
                     e.tail for e in c.elements
-                    if e.axis == axis and _ref_is_shrinkable(e.tail, axis, c) is None]
+                    if e.axis == axis and _ref_first_shrinker(e.tail.letters, c) is None]
 
     def test_tail_filter_builds_no_moves(self, monkeypatch, closures):
         calls = []
@@ -179,16 +159,8 @@ class TestClosureShrinkers:
         # answers, at any target length
         c, targets = case
         trie = cq.shrink_index(c.raw)
-        for axis, t in targets:
-            hits = list(cq.shrinkers(trie, t))
-            assert c.shrinkers(t) == sorted(k for k, _ in hits)
-            move = bs.is_shrinkable(fg.Word(c.alphabet, t), axis, c)
-            if not hits:
-                assert move is None
-                continue
-            k, eps = min(hits)
-            assert (move.by, move.eps) == (c.elements[k], eps)
-            assert len(move.result.tail) < len(t)
+        for _, t in targets:
+            assert c.shrinkers(t) == sorted(k for k, _ in cq.shrinkers(trie, t))
 
 
 class TestComputeT:
@@ -313,22 +285,6 @@ class TestGreedyShrink:
             total -= len(mv.target.tail) - len(mv.result.tail)
         assert total == sum(len(g.tail) for g in report.candidate)
 
-    def test_move_order_on_corpus(self, corpus_closures):
-        # every move is the first is_shrinkable finds, scanning the targets in
-        # working order against the working set's closure; none is left after
-        for gens, c in corpus_closures:
-            report = bs.greedy_shrink(c)
-            working = list(dict.fromkeys(gens))
-            for mv in report.moves + (None,):
-                wc = sq.closure(working, c.bound)
-                shrinks = (bs.is_shrinkable(t.tail, t.axis, wc) for t in working)
-                assert next((m for m in shrinks if m is not None), None) == mv
-                if mv is not None:
-                    working[working.index(mv.target)] = mv.result
-                    working = list(dict.fromkeys(working))
-            assert tuple(working) == report.candidate
-
-
     def test_moves_keep_the_subquandle(self, corpus_closures):
         # each move is by the first shrinker of the first target, in working
         # order and then closure order, that lies in the subquandle of the
@@ -362,6 +318,8 @@ class TestGreedyShrink:
                         break
                 assert first == (mv and (mv.target, mv.by))
                 if mv is not None:
+                    assert cq.act(mv.target, mv.by, mv.eps) == mv.result
+                    assert len(mv.result.tail) < len(mv.target.tail)
                     working[working.index(mv.target)] = mv.result
                     working = list(dict.fromkeys(working))
             assert tuple(working) == report.candidate

@@ -8,7 +8,7 @@ from freequandle import conj_quandle as cq
 from freequandle import independence as ind
 from freequandle import stallings
 from freequandle import subquandle as sq
-from freequandle.errors import AlphabetMismatch, ClosureTooLarge, NotInClosure
+from freequandle.errors import AlphabetMismatch, ClosureTooLarge, EmptyGeneratorSet, NotInClosure
 from freequandle.free_group import Alphabet
 from freequandle.stallings import SubquandleGraph
 
@@ -104,6 +104,11 @@ class TestGraph:
             SubquandleGraph(els(XY, "x") + els(XYZ, "y"))
         with pytest.raises(AlphabetMismatch):
             SubquandleGraph(els(XY, "x")).member(cq.parse_element(XYZ, "x"))
+
+    def test_empty_set_rejected(self):
+        # as closure rejects an empty set, not with an IndexError
+        with pytest.raises(EmptyGeneratorSet):
+            SubquandleGraph([])
 
     def test_count_stops_at_the_cap(self):
         # a walk round the x-loop alone counts nothing, so a single
