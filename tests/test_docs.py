@@ -16,7 +16,9 @@ import freequandle
 
 PACKAGE = Path(freequandle.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE)]))
+MODULES = {m.name: importlib.import_module(f"freequandle.{m.name}")
+           for m in pkgutil.iter_modules([str(PACKAGE)])}
+ROOTS = {"freequandle": freequandle, **MODULES}  # the first names of module.name
 
 ROLE = re.compile(r":(?:func|meth|class|attr|mod):`~?([\w.]+?)(?:\(\))?`")
 DOTTED = r"([A-Za-z_]\w*(?:\.\w+)+)"
@@ -28,28 +30,22 @@ def _docstrings(name):
     """The module, class and function docstrings of a package module."""
     tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
             doc = ast.get_docstring(node)
             if doc:
                 yield doc
 
 
 def _names_a_module(path):
-    head = path.split(".")[0]
-    return head == "freequandle" or head in MODULES
+    return path.split(".")[0] in ROOTS
 
 
-def _resolves(path, module=None):
+def _resolves(path, module):
     head, *rest = path.split(".")
-    roots = []
-    if head == "freequandle":
-        roots.append(freequandle)
-    if head in MODULES:
-        roots.append(importlib.import_module(f"freequandle.{head}"))
-    if module is not None:
-        scopes = [module] + [v for v in vars(module).values()
-                             if isinstance(v, type) and v.__module__ == module.__name__]
-        roots += [getattr(s, head) for s in scopes if hasattr(s, head)]
+    scopes = [module] + [v for v in vars(module).values()
+                         if isinstance(v, type) and v.__module__ == module.__name__]
+    roots = [ROOTS[head]] if head in ROOTS else []
+    roots += [getattr(s, head) for s in scopes if hasattr(s, head)]
     for obj in roots:
         for part in rest:
             if not hasattr(obj, part):
@@ -67,12 +63,9 @@ def _unresolved(refs):
 
 
 def _docstring_refs(pattern, keep=lambda path: True):
-    for name in MODULES:
-        module = importlib.import_module(f"freequandle.{name}")
+    for name, module in MODULES.items():
         for doc in _docstrings(name):
-            for path in pattern.findall(doc):
-                if keep(path):
-                    yield name, module, path
+            yield from ((name, module, path) for path in pattern.findall(doc) if keep(path))
 
 
 class TestReferences:
@@ -84,7 +77,7 @@ class TestReferences:
 
     def test_readme_names(self):
         paths = filter(_names_a_module, BACKTICKED.findall(README.read_text(encoding="utf-8")))
-        assert _unresolved(("README.md", None, p) for p in paths) == []
+        assert _unresolved(("README.md", freequandle, p) for p in paths) == []
 
     def test_all_names(self):
         assert _unresolved(("__all__", freequandle, n) for n in freequandle.__all__) == []
