@@ -228,20 +228,27 @@ def cmd_express(args):
     return 1
 
 
-# subcommand -> the shared options it takes besides --format, in the order
-# -h lists the subcommands
-_COMMANDS = {"reduce": "alphabet", "qop": "alphabet", "closure": "problem",
-             "basis": "problem", "check-independence": None,
-             "verify-axioms": "alphabet", "express": "problem"}
+# subcommand -> its line in the root's -h, in the order -h lists them
+_COMMANDS = {
+    "reduce": "reduce a word to normal form",
+    "qop": "apply a quandle operation to two elements",
+    "closure": "enumerate a bounded subquandle closure",
+    "basis": "compute and certify a free basis",
+    "check-independence": "run the independence checkers on a file of "
+                          "elements or group words",
+    "verify-axioms": "sample-check the quandle laws",
+    "express": "express a closure element over the generators"}
 
 
-def _shared_options(p: argparse.ArgumentParser, kind) -> None:
-    """Add ``--format`` to ``p``, then ``--alphabet`` or the problem options
-    that ``kind`` names."""
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``p`` subcommand ``name``'s options, with ``command`` and the
+    handler (read from the module now, so a patched one is taken) as
+    defaults; return ``p``."""
+    p.set_defaults(command=name, func=globals()["cmd_" + name.replace("-", "_")])
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    if kind == "alphabet":
+    if name in ("reduce", "qop", "verify-axioms"):
         p.add_argument("--alphabet", required=True)
-    elif kind == "problem":
+    elif name != "check-independence":
         p.add_argument("file", help="problem file (alphabet: header, "
                        "one element per line)")
         p.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
@@ -249,73 +256,65 @@ def _shared_options(p: argparse.ArgumentParser, kind) -> None:
         p.add_argument("--max-elements", type=int, metavar="N",
                        help="element budget of every closure the command "
                             "builds; exceeding it is an input error (exit 2)")
-
-
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's argument parser, with every subcommand.
-
-    Given a subcommand's name, the root holds that subcommand alone (2
-    parsers, not 8): an argv that starts with the name parses, or fails,
-    exactly as under the full parser.
-    """
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    parser = argparse.ArgumentParser(
-        prog="freequandle",
-        description="Free-quandle arithmetic, subquandle closures, and "
-                    "free-basis computation with certification.")
-    # with one subcommand, the root usage an error prints still lists all
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
-
-    def add(name, func, help):
-        if name in names:
-            p = sub.add_parser(name, help=help)
-            _shared_options(p, _COMMANDS[name])
-            p.set_defaults(func=func)
-            return p
-
-    if p := add("reduce", cmd_reduce, "reduce a word to normal form"):
+    if name == "reduce":
         p.add_argument("word")
-
-    if p := add("qop", cmd_qop, "apply a quandle operation to two elements"):
+    elif name == "qop":
         p.add_argument("--op", choices=("right", "left"), default="right")
         p.add_argument("element")
         p.add_argument("by")
-
-    add("closure", cmd_closure, "enumerate a bounded subquandle closure")
-
-    if p := add("basis", cmd_basis, "compute and certify a free basis"):
+    elif name == "basis":
         p.add_argument("--method", choices=("paper", "greedy"), default="paper")
         p.add_argument("--check-stability", action="store_true",
                        help="recompute the candidate at L+2 and flag a change "
                             "(paper method only)")
-
-    if p := add("check-independence", cmd_check_independence,
-                "run the independence checkers on a file of elements or "
-                "group words"):
+    elif name == "check-independence":
         p.add_argument("file", help="file of elements or group words "
                        "(alphabet: header, one per line)")
         p.add_argument("--method", choices=("hall", "nielsen", "both"),
                        default="both")
-
-    if p := add("verify-axioms", cmd_verify_axioms,
-                "sample-check the quandle laws"):
+    elif name == "verify-axioms":
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-tail-len", type=int, default=4, metavar="L")
-
-    if p := add("express", cmd_express,
-                "express a closure element over the generators"):
+    elif name == "express":
         p.add_argument("element")
+    return p
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full argument parser: the root and every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="freequandle",
+        description="Free-quandle arithmetic, subquandle closures, and "
+                    "free-basis computation with certification.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help), name)
     return parser
 
 
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as :func:`build_parser`'s parser does, building one
+    parser where it can.
+
+    An argv that starts with a subcommand's name goes to that subcommand's
+    parser alone, built as the full parser builds it (same prog, options
+    and defaults).  Only a root-level argv, or one that leaves arguments
+    over, takes the full parser, so every root help screen and error is the
+    full parser's own.
+    """
+    if argv and argv[0] in _COMMANDS:
+        lone = argparse.ArgumentParser(prog="freequandle " + argv[0])
+        args, rest = _add_options(lone, argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    """Run the command that ``argv`` (by default the command line) names;
+    return its exit code."""
+    args = parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         return _emit(args.func(args), args.format)
     except (FreeQuandleError, ValueError, OSError) as exc:

@@ -1,10 +1,12 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freequandle import basis as basis_mod
 from freequandle import cli
@@ -619,6 +621,23 @@ SUBCOMMAND_ARGVS = [
                  [name, *valid, "--format", "xml"],
                  [name, *valid, "--max-tail-len", "two"])
 ]
+# argv that argparse reads in more than one way: abbreviated options, an
+# ambiguous one, --opt=value, "--" before a positional, an option before
+# the positional, -h after other arguments, and a repeated option
+SHAPE_ARGVS = [
+    ["basis", "problem.txt", "--max-t", "4"],
+    ["basis", "problem.txt", "--meth", "greedy"],
+    ["basis", "problem.txt", "--check-stab"],
+    ["basis", "problem.txt", "--max", "4"],
+    ["closure", "problem.txt", "--max-tail-len=4", "--format=machine"],
+    ["closure", "--", "problem.txt"],
+    ["qop", "--alphabet", "x y", "--", "x", "y"],
+    ["closure", "--max-elements", "9", "problem.txt"],
+    ["basis", "problem.txt", "--method", "greedy", "-h"],
+    ["closure", "problem.txt", "--bogus", "-h"],
+    ["closure", "problem.txt", "--max-tail-len", "2", "--max-tail-len", "4"],
+    ["verify-axioms", "--alphabet=x y", "--seed", "-1", "--he"],
+]
 
 
 USAGE_ARGVS = ROOT_ARGVS + [
@@ -649,47 +668,75 @@ class _Parsed(Exception):
     pass
 
 
+def _outcome(call):
+    """What ``call`` parses, or its exit code, with what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = ("parsed", vars(call()))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _main_parse(argv):
+    """The namespace ``main`` parses from ``argv``, taken before it runs
+    the command."""
+    real = cli.parse_argv
+
+    def parse(argv):
+        raise _Parsed(real(argv))
+
+    cli.parse_argv = parse
+    try:
+        cli.main(argv)
+    except _Parsed as parsed:
+        return parsed.args[0]
+    finally:
+        cli.parse_argv = real
+    raise AssertionError(f"main ran {argv} without parse_argv")
+
+
+# every subcommand's option strings, with values and abbreviations, and
+# stray tokens, from which the property draws argv
+_OPTION_TOKENS = {
+    name: sorted({t for option in cli._add_options(argparse.ArgumentParser(), name)
+                  ._option_string_actions for t in (option, option[:5], option + "=2")})
+    for name in cli._COMMANDS
+}
+_STRAY_TOKENS = ["problem.txt", "x", "x y", "2", "-1", "two", "machine", "greedy",
+                 "both", "left", "--", "-", "--bogus", "-z", "--format=xml"]
+
+
 class TestParserSelection:
-    """``main`` builds only the subcommand its argv names."""
+    """``main`` builds only the subcommand its argv names, and parses as
+    the full parser does."""
 
-    @staticmethod
-    def outcome(capsys, monkeypatch, call):
-        real = argparse.ArgumentParser.parse_args
-
-        def parse_args(self, *args, **kwargs):
-            raise _Parsed(real(self, *args, **kwargs))
-
-        try:
-            with monkeypatch.context() as m:
-                m.setattr(argparse.ArgumentParser, "parse_args", parse_args)
-                call()
-        except SystemExit as exc:
-            result = ("exit", exc.code)
-        except _Parsed as parsed:
-            result = ("parsed", vars(parsed.args[0]))
-        captured = capsys.readouterr()
-        return result, captured.out, captured.err
-
-    @pytest.mark.parametrize("argv", ROOT_ARGVS + SUBCOMMAND_ARGVS, ids=str)
-    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv", ROOT_ARGVS + SUBCOMMAND_ARGVS + SHAPE_ARGVS, ids=str)
+    def test_same_as_full_parser(self, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        full = self.outcome(capsys, monkeypatch,
-                            lambda: cli.build_parser().parse_args(argv))
-        assert self.outcome(capsys, monkeypatch, lambda: cli.main(argv)) == full
+        full = _outcome(lambda: cli.build_parser().parse_args(argv))
+        assert _outcome(lambda: _main_parse(argv)) == full
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_OPTION_TOKENS)).flatmap(
+        lambda name: st.lists(st.sampled_from(_OPTION_TOKENS[name] + _STRAY_TOKENS),
+                              max_size=6).map(lambda rest: [name, *rest])))
+    def test_same_as_full_parser_on_drawn_argv(self, argv):
+        full = _outcome(lambda: cli.build_parser().parse_args(argv))
+        assert _outcome(lambda: _main_parse(argv)) == full
 
     @pytest.mark.parametrize("argv, message", [
         ([], "required: command"),
         (["frobnicate"], "argument command: invalid choice"),
     ])
-    def test_root_errors_name_the_command(self, capsys, monkeypatch, argv,
-                                          message):
-        # the one-subcommand root's list of every command stays out of these
-        result, _, err = self.outcome(capsys, monkeypatch, lambda: cli.main(argv))
+    def test_root_errors_name_the_command(self, argv, message):
+        result, _, err = _outcome(lambda: _main_parse(argv))
         assert result == ("exit", 2) and message in err
 
     @pytest.mark.parametrize("argv, parsers", [
-        (["check-independence"], 2),  # the root and the subcommand
-        (["basis", "--max-tail-len", "2"], 2),
+        (["check-independence"], 1),  # the subcommand's parser alone
+        (["basis", "--max-tail-len", "2"], 1),
     ], ids=["check-independence", "basis"])
     def test_parsers_built_per_call(self, capsys, monkeypatch, problem_file,
                                     argv, parsers):
