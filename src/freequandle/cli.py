@@ -11,6 +11,7 @@ inputs (and seeds) give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import basis as basis_mod
@@ -175,15 +176,17 @@ def _read_independence_input(path: str):
         alphabet, lines = sq.parse_header(fh.read())
     items = []
     for ln in lines:
-        try:
+        if "^(" in ln:  # the element grammar
             elem = cq.parse_element(alphabet, ln)
             word = cq.to_group_word(elem)
-        except NotInFreeQuandle:
-            if "^(" in ln:  # the element grammar: a malformed element
-                raise
-            elem, word = None, fg.parse_word(alphabet, ln)
+        else:  # a group word, parsed once; an element if it is a conjugate
+            word = fg.parse_word(alphabet, ln)
             if word.is_identity():
                 raise EmptyInputWord("the identity word is not allowed as input")
+            try:
+                elem = cq.from_group_word(word)
+            except NotInFreeQuandle:
+                elem = None
         items.append((ln, elem, word))
     if not items:
         raise ValueError("input file lists no elements or words")
@@ -313,13 +316,28 @@ def parse_argv(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run the command that ``argv`` (by default the command line) names;
-    return its exit code."""
-    args = parse_argv(sys.argv[1:] if argv is None else argv)
+    return its exit code.
+
+    The command runs with the cyclic garbage collector paused.  The
+    package's own work makes no reference cycles, so reference counting
+    frees all of it; the collections its allocations would trigger only
+    traverse live objects.  What a command leaves to the collector is
+    argparse's parser graph, a few dozen objects, freed at the next
+    collection.  The collector is switched back on, on every exit path
+    (argparse's ``SystemExit`` too), only if it was on at entry.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return _emit(args.func(args), args.format)
-    except (FreeQuandleError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        try:
+            return _emit(args.func(args), args.format)
+        except (FreeQuandleError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

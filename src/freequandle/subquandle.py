@@ -549,18 +549,25 @@ def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
 
     The term is built by walking c's steps back from e's index, so no
     element of c is wrapped; the replay builds the elements it evaluates.
+    The walk is a loop, not a recursive closure, so it leaves no reference
+    cycle behind (the CLI runs with the cyclic collector paused).
     """
     if e.alphabet != c.alphabet or e not in c:
         raise NotInClosure(f"{e} is not in the closure")
-    memo = {i: QuandleTerm(leaf=i) for i in range(len(c.generators))}
-
-    def build(k: int) -> QuandleTerm:
-        if k not in memo:
-            i, j, eps = c.steps[k - len(c.generators)]
-            memo[k] = QuandleTerm(eps, build(i), build(j))
-        return memo[k]
-
-    term = build(c.index[e.axis][e.tail.letters])
+    n = len(c.generators)
+    target = c.index[e.axis][e.tail.letters]
+    needed, todo = set(), [target]
+    while todo:
+        k = todo.pop()
+        if k >= n and k not in needed:
+            needed.add(k)
+            todo += c.steps[k - n][:2]
+    terms = {i: QuandleTerm(leaf=i) for i in range(n)}
+    # a step derives its element from earlier ones: build in index order
+    for k in sorted(needed):
+        i, j, eps = c.steps[k - n]
+        terms[k] = QuandleTerm(eps, terms[i], terms[j])
+    term = terms[target]
     if term.evaluate(c.generators) != e:
         raise WitnessNotFound(f"derivation term {term} does not replay to {e}")
     return term

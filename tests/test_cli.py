@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import random
@@ -12,6 +13,7 @@ from freequandle import basis as basis_mod
 from freequandle import cli
 from freequandle import conj_quandle as cq
 from freequandle import free_group as fg
+from freequandle import independence as ind
 from freequandle import subquandle as sq
 from freequandle.free_group import Alphabet
 
@@ -751,3 +753,61 @@ class TestParserSelection:
         code, out, _ = run(capsys, argv[0], problem_file, *argv[1:])
         assert code in (0, 1) and out
         assert len(built) == parsers
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector and hands it back as it found
+    it; the pause is sound because the package makes no reference cycles."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["reduce", "--alphabet", "x y", "x x^-1 y"], 0),
+        (["check-independence", "{elems}", "--method", "hall"], 1),
+        (["reduce", "--alphabet", "x y", "z"], 2),
+        (["-h"], "exit 0"),
+        (["basis", "-h"], "exit 0"),
+        (["reduce", "--bogus"], "exit 2"),
+    ], ids=["exit-0", "fail-1", "input-error-2", "root-help", "help", "unknown-option"])
+    def test_collector_handed_back(self, capsys, tmp_path, collector,
+                                   collecting, argv, code):
+        elems = tmp_path / "elems.txt"
+        elems.write_text("alphabet: x y\nx^(y)\ny\n")
+        (gc.enable if collecting else gc.disable)()
+        try:
+            result = cli.main([a.format(elems=elems) for a in argv])
+        except SystemExit as exc:
+            result = f"exit {exc.code}"
+        capsys.readouterr()
+        assert result == code
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("gens, bound", [
+        (("x^(y)", "y"), 6),
+        (("x^(y z)", "y^(z)", "z^(x)"), 6),
+    ], ids=["readme", "three-axes"])
+    def test_package_makes_no_reference_cycles(self, collector, xyz, gens, bound):
+        gens = [cq.parse_element(xyz, g) for g in gens]
+        c = sq.closure(gens, bound)
+        words = [cq.to_group_word(g) for g in gens]
+        calls = {
+            "closure": lambda: sq.closure(gens, bound),
+            "paper": lambda: basis_mod.compute_S(basis_mod.paper_closure(gens, bound),
+                                                 check_stability=True),
+            "greedy": lambda: basis_mod.greedy_shrink(sq.closure(gens, bound)),
+            "express": lambda: [sq.express(c, e) for e in c.elements[-5:]],
+            "hall": lambda: ind.check_significant_factors(gens),
+            "nielsen": lambda: ind.nielsen_independent(words),
+        }
+        gc.disable()
+        for name, call in calls.items():
+            gc.collect()
+            call()
+            assert (name, gc.collect()) == (name, 0)
