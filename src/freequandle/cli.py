@@ -179,7 +179,7 @@ def _read_independence_input(path: str):
         if "^(" in ln:  # the element grammar
             elem = cq.parse_element(alphabet, ln)
             word = cq.to_group_word(elem)
-        else:  # a group word, parsed once; an element if it is a conjugate
+        else:  # a group word, an element if it is a generator's conjugate
             word = fg.parse_word(alphabet, ln)
             if word.is_identity():
                 raise EmptyInputWord("the identity word is not allowed as input")
