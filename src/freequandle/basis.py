@@ -14,13 +14,10 @@ off the graph and needs of the closure only the prefix that holds B
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .conj_quandle import QuandleElement, act, to_group_word
 from .errors import NotInClosure
 from .independence import IndependenceReport, check_significant_factors, nielsen_independent
-from .free_group import Word
+from .free_group import Word, _Value
 from .stallings import SubquandleGraph
 from .subquandle import (
     DEFAULT_BOUND,
@@ -36,8 +33,7 @@ METHOD_PAPER = "paper"
 METHOD_GREEDY = "greedy"
 
 
-@dataclass(frozen=True)
-class ShrinkMove:
+class ShrinkMove(_Value):
     """One tail-shortening step: result = act(target, by, eps)."""
 
     target: QuandleElement
@@ -46,17 +42,16 @@ class ShrinkMove:
     result: QuandleElement
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(_Value):
     input_generators: tuple[QuandleElement, ...]
     bound: int
     candidate: tuple[QuandleElement, ...]
     method: str
-    witnesses: dict[QuandleElement, Optional[QuandleTerm]]
+    witnesses: dict[QuandleElement, QuandleTerm | None]
     hall_verdict: IndependenceReport
     nielsen_verdict: IndependenceReport
     moves: tuple[ShrinkMove, ...] = ()
-    stable: Optional[bool] = None  # candidate unchanged when recomputed at bound+2
+    stable: bool | None = None  # candidate unchanged when recomputed at bound+2
 
     @property
     def missing_witnesses(self) -> tuple[QuandleElement, ...]:
@@ -97,7 +92,7 @@ def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
 
 
 def paper_closure(gens, bound: int = DEFAULT_BOUND,
-                  max_elements: Optional[int] = None, whole: bool = True) -> ClosureSet:
+                  max_elements: int | None = None, whole: bool = True) -> ClosureSet:
     """The prefix of ``closure(gens, bound, max_elements)`` that holds the
     loop elements B (F3), on which :func:`compute_S` reports what it reports
     on the whole closure.  The whole closure's errors, its budget included,

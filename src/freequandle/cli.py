@@ -25,9 +25,9 @@ from .stallings import SubquandleGraph
 from .subquandle import DEFAULT_BOUND
 
 
-# the element budget without --max-elements: a closure peaks at about 1.5 KB
-# per element (190 MB for the 118,098 of {x^(y), y} at L = 10), so about
-# 0.75 GB
+# the element budget without --max-elements: a closure process peaks at
+# about 1 KB per element (maxrss 122-124 MB for the 118,098 of {x^(y), y}
+# at L = 10, against 15 MB at L = 2), so about 0.5 GB
 DEFAULT_MAX_ELEMENTS = 500_000
 
 

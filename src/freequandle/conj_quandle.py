@@ -9,28 +9,39 @@ representation unique and the group word cancellation-free.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import free_group as fg
 from .errors import AlphabetMismatch, NotInFreeQuandle
-from .free_group import Alphabet, Word
+from .free_group import Alphabet, Word, _Value
 
 RIGHT = 1   # the operation a ▷ q, conjugation by q
 LEFT = -1   # the operation a ◁ q, conjugation by q^-1
 
 
-@dataclass(frozen=True)
-class QuandleElement:
+class QuandleElement(_Value):
     """Canonical conjugate ``axis^tail`` of a generator."""
 
+    __slots__ = ("axis", "tail")
     axis: int
     tail: Word
+
+    def __init__(self, axis: int, tail: Word):
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "tail", tail)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.axis < len(self.tail.alphabet):
             raise ValueError(f"axis {self.axis} out of alphabet bounds")
         if self.tail.letters and fg.letter_generator(self.tail.letters[0]) == self.axis:
             raise ValueError("tail starts with the axis letter; not canonical")
+
+    def __eq__(self, other):  # as Word.__eq__, on the tail's fields
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.axis, self.tail.letters, self.tail.alphabet)
+                == (other.axis, other.tail.letters, other.tail.alphabet))
 
     def __hash__(self) -> int:
         # as Word.__hash__: the letters decide, in one frame
@@ -196,18 +207,16 @@ def random_element(alphabet: Alphabet, max_tail_len: int, rng: random.Random) ->
     return QuandleElement(axis, Word(alphabet, tuple(letters)))
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(_Value):
     law: str
     elements: tuple[QuandleElement, ...]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Value):
     alphabet: Alphabet
     samples: int
     seed: int
-    checked: dict[str, int] = field(default_factory=dict)
+    checked: dict[str, int] = MappingProxyType({})  # the default is shared: read-only
     failures: tuple[AxiomFailure, ...] = ()
 
     @property

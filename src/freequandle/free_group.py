@@ -42,7 +42,6 @@ a loop's letter).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .errors import (
     AlphabetMismatch,
@@ -65,33 +64,87 @@ def letter_generator(lt: int) -> int:
     return abs(lt) - 1
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Value:
+    """An immutable value, with what ``@dataclass(frozen=True)`` gave it.
+
+    Its fields are the names annotated in its class body, in order, each
+    with its class attribute, if any, as its default.  It is equal to an
+    instance of its own class with equal fields (``NotImplemented`` for any
+    other class), hashes by them, names them in its repr and raises
+    ``AttributeError`` on assignment and deletion.  A class with
+    ``__slots__`` (faster reads, no instance dict) writes its own
+    ``__init__``, which sets the fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # a subclass that annotates nothing keeps its base's fields
+        cls._fields = tuple(cls.__dict__.get("__annotations__", cls._fields))
+        # a call gives at least the fields up to the last one without a default
+        cls._required = max([i + 1 for i, name in enumerate(cls._fields)
+                             if not hasattr(cls, name)], default=0)
+        cls._key = property(operator.attrgetter(*cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or not self._required <= len(args) <= len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            if (len(values) < len(args) + len(kwargs)
+                    or values.keys() - fields or fields[:self._required] - values.keys()):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}, "
+                                "each at most once, and those without a default")
+            fields, args = values.keys(), values.values()
+        for name, value in zip(fields, args):  # a field not given keeps its default
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class Alphabet(_Value):
     """Ordered finite set of named generators."""
 
+    __slots__ = ("names", "_index", "_letters", "_spelling", "_tokens")
     names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _letters: frozenset[int] = field(init=False, repr=False, compare=False)
-    _spelling: dict[int, str] = field(init=False, repr=False, compare=False)
-    _tokens: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]):
+        if not names:
             raise ValueError("alphabet must be non-empty")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate generator names in {self.names}")
-        for name in self.names:
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate generator names in {names}")
+        for name in names:
             if not name or any(c.isspace() for c in name) or "^" in name:
                 raise ValueError(f"bad generator name {name!r}")
             if name == "1" or "(" in name or ")" in name or name.startswith("#"):
                 raise ValueError(f"reserved characters in generator name {name!r}")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
         # the letter tables: a Word's valid letters, and the spelling of
         # each letter, which parse_word reads back as a token
         spelling = {}
-        for i, name in enumerate(self.names):
+        for i, name in enumerate(names):
             spelling[letter(i, 1)] = name
             spelling[letter(i, -1)] = name + "^-1"
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "_letters", frozenset(spelling))
         object.__setattr__(self, "_spelling", spelling)
         object.__setattr__(self, "_tokens", {tok: lt for lt, tok in spelling.items()})
@@ -143,16 +196,21 @@ def conjugate_word(generator: int, tail: tuple[int, ...]) -> tuple[int, ...]:
     return inverse(tail) + (generator + 1,) + tail
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A reduced word in the free group over ``alphabet``.
 
     The empty tuple is the identity.  Construction does not re-reduce;
     use :func:`reduce` for arbitrary letter sequences.
     """
 
+    __slots__ = ("alphabet", "letters")
     alphabet: Alphabet
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
+
+    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...] = ()):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         letters = self.letters
@@ -164,8 +222,14 @@ class Word:
         if 0 in map(operator.add, letters, letters[1:]):  # an adjacent a, -a
             raise ValueError(f"word {letters} is not reduced")
 
+    def __eq__(self, other):  # the fields' comparison, without _key's call
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letters, self.alphabet) == (other.letters, other.alphabet)
+
     def __hash__(self) -> int:
-        # equal words have equal letters; one frame, not one per dataclass
+        # equal words have equal letters, so they alone are hashed: the
+        # alphabet's hash would cost one more Python call per word
         return hash(self.letters)
 
     def __len__(self) -> int:

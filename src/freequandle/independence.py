@@ -10,22 +10,18 @@ from more than one alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .conj_quandle import shrink_index, shrinkers, to_group_word
 from .errors import EmptyInputWord
-from .free_group import cancellation_depth, one_alphabet
+from .free_group import _Value, cancellation_depth, one_alphabet
 from .stallings import _Folding
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(_Value):
     method: str  # "hall" or "nielsen"
     passed: bool
     detail: str = ""
-    failing_pair: Optional[tuple[str, str]] = None
-    cancellation_depth: Optional[int] = None
+    failing_pair: tuple[str, str] | None = None
+    cancellation_depth: int | None = None
 
 
 def check_significant_factors(elements) -> IndependenceReport:

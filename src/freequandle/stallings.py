@@ -69,7 +69,6 @@ walks.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
 
 from . import free_group as fg
 from .conj_quandle import QuandleElement
@@ -227,7 +226,7 @@ class SubquandleGraph:
             basis.add(QuandleElement(x - 1, Word(self.alphabet, fg.inverse(path))))
         return frozenset(basis)
 
-    def size_within(self, bound: int, cap: Optional[int] = None) -> int:
+    def size_within(self, bound: int, cap: int | None = None) -> int:
         """The number of members with a tail of at most ``bound`` letters,
         which is ``len(closure(S, bound))`` at every bound closure accepts
         (F4).  With ``cap``, counting stops once the count passes it, and a

@@ -10,10 +10,8 @@ it can be expressed as a term over the generators.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional
 
 from . import conj_quandle as cq
 from . import free_group as fg
@@ -26,7 +24,7 @@ from .errors import (
     NotInClosure,
     WitnessNotFound,
 )
-from .free_group import Alphabet, Word
+from .free_group import Alphabet, Word, _Value
 from .stallings import SubquandleGraph
 
 DEFAULT_BOUND = 8
@@ -34,14 +32,23 @@ DEFAULT_BOUND = 8
 RawElement = tuple[int, tuple[int, ...]]  # (axis, canonical tail letters)
 
 
-@dataclass(frozen=True)
-class QuandleTerm:
+class QuandleTerm(_Value):
     """Expression tree over a generating list; Leaf(i) names generator i."""
 
-    eps: Optional[int] = None
-    left: Optional["QuandleTerm"] = None
-    right: Optional["QuandleTerm"] = None
-    leaf: Optional[int] = None
+    __slots__ = ("eps", "left", "right", "leaf")
+    eps: int | None
+    left: QuandleTerm | None
+    right: QuandleTerm | None
+    leaf: int | None
+
+    # one term per step of a witness: built, as Word is, without the
+    # generic __init__'s keyword matching
+    def __init__(self, eps: int | None = None, left: QuandleTerm | None = None,
+                 right: QuandleTerm | None = None, leaf: int | None = None):
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "leaf", leaf)
 
     def evaluate(self, generators) -> QuandleElement:
         if self.leaf is not None:
@@ -56,8 +63,7 @@ class QuandleTerm:
         return f"({self.left} {op} {self.right})"
 
 
-@dataclass(frozen=True)
-class ClosureSet:
+class ClosureSet(_Value):
     """Deterministic bounded closure with one derivation per non-generator,
     built under a tail bound and an element budget (None: none) that the
     closures ``basis`` derives from it inherit.
@@ -78,7 +84,7 @@ class ClosureSet:
     bound: int
     raw: tuple[RawElement, ...]
     steps: tuple[tuple[int, int, int], ...]
-    max_elements: Optional[int] = None
+    max_elements: int | None = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -253,7 +259,7 @@ def _shrinkers(seen, u: tuple[int, ...], misses=None) -> list[int]:
 
 
 def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
-                  size: Optional[int] = None):
+                  size: int | None = None):
     """Semi-naive fixed point of act(a, q, ±1) over ``elements``, in place.
 
     Appends each new within-bound product to ``elements``, files its
@@ -434,7 +440,7 @@ def _new_elements(elements: list[RawElement], seen: dict[int, dict], bound: int,
                         return
 
 
-def _checked_generators(gens, bound: int, max_elements: Optional[int]):
+def _checked_generators(gens, bound: int, max_elements: int | None):
     """gens deduplicated, after the checks :func:`closure` makes before it
     enumerates, the budget last: a budget below 1, or below the number of
     generators, raises :class:`ClosureTooLarge`.  ``gens`` may also be
@@ -463,7 +469,7 @@ def _too_large(bound: int, size: int, max_elements: int) -> ClosureTooLarge:
         f"elements, over the element budget of {max_elements}")
 
 
-def check_size(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None) -> None:
+def check_size(gens, bound: int = DEFAULT_BOUND, max_elements: int | None = None) -> None:
     """Raise every error of ``closure(gens, bound, max_elements)`` without
     enumerating, in the same order.
 
@@ -478,7 +484,7 @@ def check_size(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = N
         _size(graph or SubquandleGraph(gens), bound, max_elements)
 
 
-def _size(graph: SubquandleGraph, bound: int, max_elements: Optional[int]) -> int:
+def _size(graph: SubquandleGraph, bound: int, max_elements: int | None) -> int:
     """The exact size of the closure of the checked generators folded in
     ``graph``; over the budget, the error enumerating would raise."""
     size = graph.size_within(bound, max_elements)
@@ -487,7 +493,7 @@ def _size(graph: SubquandleGraph, bound: int, max_elements: Optional[int]) -> in
     return size
 
 
-def closure(gens, bound: int = DEFAULT_BOUND, max_elements: Optional[int] = None,
+def closure(gens, bound: int = DEFAULT_BOUND, max_elements: int | None = None,
             stop_when_contains=None) -> ClosureSet:
     """Fixed point of act(a, q, ±1) over ordered pairs, tails capped at ``bound``.
 

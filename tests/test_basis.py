@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -25,6 +24,12 @@ def els(*texts):
 
 def w(text):
     return fg.parse_word(XY, text)
+
+
+def with_budget(c, max_elements):
+    """The closure c under another element budget; its tables are built
+    again on first use."""
+    return sq.ClosureSet(c.generators, c.bound, c.raw, c.steps, max_elements)
 
 
 def scrambled_problems(rng, count):
@@ -239,10 +244,10 @@ class TestComputeS:
         report = bs.compute_S(small_closure)
         size = len(sq.closure(report.candidate, small_closure.bound,
                               stop_when_contains=small_closure.generators))
-        budgeted = dataclasses.replace(small_closure, max_elements=size)
+        budgeted = with_budget(small_closure, size)
         assert bs.compute_S(budgeted) == report
         with pytest.raises(ClosureTooLarge):
-            bs.compute_S(dataclasses.replace(small_closure, max_elements=size - 1))
+            bs.compute_S(with_budget(small_closure, size - 1))
 
 
 class TestGreedyShrink:
@@ -265,10 +270,10 @@ class TestGreedyShrink:
         # the budget is stated on small_closure, not used to build it
         report = bs.greedy_shrink(small_closure)
         size = len(sq.closure(report.candidate, small_closure.bound))
-        budgeted = dataclasses.replace(small_closure, max_elements=size)
+        budgeted = with_budget(small_closure, size)
         assert bs.greedy_shrink(budgeted) == report
         with pytest.raises(ClosureTooLarge):
-            bs.greedy_shrink(dataclasses.replace(small_closure, max_elements=size - 1))
+            bs.greedy_shrink(with_budget(small_closure, size - 1))
 
     def test_rigid_set(self, rigid_closure):
         report = bs.greedy_shrink(rigid_closure)
