@@ -8,8 +8,9 @@ generator must replay, and both independence checkers must pass.
 
 The tail filter keeps exactly the loop elements B of the generators'
 folded graph (:mod:`stallings`, F3 and F4), so :func:`compute_S` reads B
-off the graph and needs of the closure only the prefix that holds B
-(:func:`paper_closure`).
+off the graph and needs of the closure only the prefix that holds B: the
+closure stopped once B is in it (``stop_when_contains``).  This module
+sets no element budget; its closures inherit that of the one given.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ from .errors import NotInClosure
 from .independence import IndependenceReport, check_significant_factors, nielsen_independent
 from .free_group import Word, _Value
 from .stallings import SubquandleGraph
-from .subquandle import (
-    DEFAULT_BOUND,
-    ClosureSet,
-    QuandleTerm,
-    _checked_generators,
-    check_size,
-    closure,
-    express,
-)
+from .subquandle import ClosureSet, QuandleTerm, closure, express
 
 METHOD_PAPER = "paper"
 METHOD_GREEDY = "greedy"
@@ -91,26 +84,12 @@ def _report(c: ClosureSet, candidate, method, sub, **extra) -> BasisReport:
     )
 
 
-def paper_closure(gens, bound: int = DEFAULT_BOUND,
-                  max_elements: int | None = None, whole: bool = True) -> ClosureSet:
-    """The prefix of ``closure(gens, bound, max_elements)`` that holds the
-    loop elements B (F3), on which :func:`compute_S` reports what it reports
-    on the whole closure.  The whole closure's errors, its budget included,
-    are raised up front (:func:`subquandle.check_size`); with ``whole``
-    false, the budget binds only the prefix, as it grows.  The generators
-    are folded once, and the prefix keeps the graph for :func:`compute_S`."""
-    graph = SubquandleGraph(_checked_generators(gens, bound, max_elements if whole else None)[0])
-    if whole:
-        check_size(graph, bound, max_elements)
-    return closure(graph, bound, max_elements, stop_when_contains=graph.basis())
-
-
 def compute_S(c: ClosureSet, check_stability: bool = False) -> BasisReport:
     """Candidate basis from the per-axis non-shrinkable tails.
 
     c may be any closure of its generators that holds the loop elements B
     of their folded graph: the whole closure, or a prefix that stopped
-    once B was in it (:func:`paper_closure`).  By F3 and F4 (see
+    once B was in it (``cli.cmd_basis`` builds that one).  By F3 and F4 (see
     :mod:`stallings`) B is exactly the tail filter of the whole closure
     (:func:`_tail_filter`).  Its order is the filter's: axis by axis, then
     closure order, and a stopped closure is a prefix of the whole one, so

@@ -34,7 +34,9 @@ DEFAULT_MAX_ELEMENTS = 500_000
 def _budget(args) -> int:
     """The budget of the closures a command enumerates: ``--max-elements``,
     or the default.  Only an explicit budget binds the closures a command
-    answers without enumerating (the paper basis's, a non-member's)."""
+    answers without enumerating: :func:`cmd_basis` (the paper basis's) and
+    :func:`cmd_express` (a non-member's) pass ``args.max_elements`` to
+    :func:`subquandle.check_size` for those."""
     return DEFAULT_MAX_ELEMENTS if args.max_elements is None else args.max_elements
 
 
@@ -140,8 +142,11 @@ def cmd_basis(args):
         raise ValueError("--check-stability applies to --method paper only")
     _, gens = _read_problem(args.file)
     if args.method == "paper":
-        c = basis_mod.paper_closure(gens, args.max_tail_len, _budget(args),
-                                    whole=args.max_elements is not None)
+        # the whole closure's errors (its budget only if given), then the
+        # prefix that holds the basis
+        graph = sq.check_size(gens, args.max_tail_len, args.max_elements)
+        c = sq.closure(graph, args.max_tail_len, _budget(args),
+                       stop_when_contains=graph.basis())
         report = basis_mod.compute_S(c, args.check_stability)
     else:
         report = basis_mod.greedy_shrink(

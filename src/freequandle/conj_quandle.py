@@ -8,7 +8,6 @@ representation unique and the group word cancellation-free.
 
 from __future__ import annotations
 
-import random
 from types import MappingProxyType
 
 from . import free_group as fg
@@ -27,15 +26,12 @@ class QuandleElement(_Value):
     tail: Word
 
     def __init__(self, axis: int, tail: Word):
+        if not 0 <= axis < len(tail.alphabet):
+            raise ValueError(f"axis {axis} out of alphabet bounds")
+        if tail.letters and fg.letter_generator(tail.letters[0]) == axis:
+            raise ValueError("tail starts with the axis letter; not canonical")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "tail", tail)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not 0 <= self.axis < len(self.tail.alphabet):
-            raise ValueError(f"axis {self.axis} out of alphabet bounds")
-        if self.tail.letters and fg.letter_generator(self.tail.letters[0]) == self.axis:
-            raise ValueError("tail starts with the axis letter; not canonical")
 
     def __eq__(self, other):  # as Word.__eq__, on the tail's fields
         if other.__class__ is not self.__class__:
@@ -253,6 +249,7 @@ def verify_axioms(alphabet: Alphabet, sample_count: int, max_tail_len: int = 4,
         raise ValueError("sample_count must be positive")
     if max_tail_len < 0:
         raise ValueError("max_tail_len must be >= 0")
+    import random  # here, so that importing the CLI does not load it
     rng = random.Random(seed)
     failures: list[AxiomFailure] = []
     for _ in range(sample_count):

@@ -86,16 +86,20 @@ class _Value:
         cls._required = max([i + 1 for i, name in enumerate(cls._fields)
                              if not hasattr(cls, name)], default=0)
         cls._key = property(operator.attrgetter(*cls._fields))
+        # after n positional values, the names a keyword may give, and those
+        # it must give
+        n = len(cls._fields)
+        cls._after = [frozenset(cls._fields[k:]) for k in range(n + 1)]
+        cls._needed = [frozenset(cls._fields[k:cls._required]) for k in range(n + 1)]
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs or not self._required <= len(args) <= len(fields):
-            values = dict(zip(fields, args), **kwargs)
-            if (len(values) < len(args) + len(kwargs)
-                    or values.keys() - fields or fields[:self._required] - values.keys()):
+            n = len(args)
+            if not (n <= len(fields) and self._needed[n] <= kwargs.keys() <= self._after[n]):
                 raise TypeError(f"{type(self).__name__}() takes the fields {fields}, "
                                 "each at most once, and those without a default")
-            fields, args = values.keys(), values.values()
+            fields, args = fields[:n] + tuple(kwargs), args + tuple(kwargs.values())
         for name, value in zip(fields, args):  # a field not given keeps its default
             object.__setattr__(self, name, value)
 
@@ -208,19 +212,15 @@ class Word(_Value):
     letters: tuple[int, ...]
 
     def __init__(self, alphabet: Alphabet, letters: tuple[int, ...] = ()):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
-
-    def __post_init__(self):
-        letters = self.letters
-        if not self.alphabet._letters.issuperset(letters):
-            n = len(self.alphabet)
+        if not alphabet._letters.issuperset(letters):
+            n = len(alphabet)
             for lt in letters:  # name the first bad letter
                 if lt == 0 or abs(lt) > n:
                     raise InvalidLetter(f"letter {lt} out of bounds for {n} generators")
         if 0 in map(operator.add, letters, letters[1:]):  # an adjacent a, -a
             raise ValueError(f"word {letters} is not reduced")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
 
     def __eq__(self, other):  # the fields' comparison, without _key's call
         if other.__class__ is not self.__class__:

@@ -469,19 +469,24 @@ def _too_large(bound: int, size: int, max_elements: int) -> ClosureTooLarge:
         f"elements, over the element budget of {max_elements}")
 
 
-def check_size(gens, bound: int = DEFAULT_BOUND, max_elements: int | None = None) -> None:
+def check_size(gens, bound: int = DEFAULT_BOUND,
+               max_elements: int | None = None) -> SubquandleGraph:
     """Raise every error of ``closure(gens, bound, max_elements)`` without
-    enumerating, in the same order.
+    enumerating, in the same order; return the generators' folded graph.
 
-    The closure's size is counted on the generators' folded graph
+    The closure's size is counted on that graph
     (:meth:`stallings.SubquandleGraph.size_within`, exact by F4), so a
     closure over the budget raises what enumerating would have raised at
     element ``max_elements + 1``.  As for :func:`closure`, ``gens`` may
-    also be that graph, so that a caller who has it folds them once.
+    also be that graph, which is returned as given; otherwise the checked,
+    deduplicated generators are folded, also without a budget, so that a
+    caller folds them once for the count, the closure and the basis.
     """
     gens, graph = _checked_generators(gens, bound, max_elements)
+    graph = graph or SubquandleGraph(gens)
     if max_elements is not None:
-        _size(graph or SubquandleGraph(gens), bound, max_elements)
+        _size(graph, bound, max_elements)
+    return graph
 
 
 def _size(graph: SubquandleGraph, bound: int, max_elements: int | None) -> int:
@@ -553,12 +558,15 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: int | None = None,
 def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
     """A term over c.generators evaluating to e, replayed before returning.
 
+    An e not in c raises :class:`NotInClosure`, and, as for ``e in c``, an
+    e from another alphabet :class:`AlphabetMismatch`.
+
     The term is built by walking c's steps back from e's index, so no
     element of c is wrapped; the replay builds the elements it evaluates.
     The walk is a loop, not a recursive closure, so it leaves no reference
     cycle behind (the CLI runs with the cyclic collector paused).
     """
-    if e.alphabet != c.alphabet or e not in c:
+    if e not in c:
         raise NotInClosure(f"{e} is not in the closure")
     n = len(c.generators)
     target = c.index[e.axis][e.tail.letters]

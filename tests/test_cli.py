@@ -141,13 +141,13 @@ class TestRawElements:
     ])
     def test_no_object_per_element(self, capsys, monkeypatch, problem_file, argv, most):
         built = []
-        real = cq.QuandleElement.__post_init__
+        real = cq.QuandleElement.__init__
 
-        def counting(self):
+        def counting(self, axis, tail):
             built.append(self)
-            real(self)
+            real(self, axis, tail)
 
-        monkeypatch.setattr(cq.QuandleElement, "__post_init__", counting)
+        monkeypatch.setattr(cq.QuandleElement, "__init__", counting)
         command, *rest = argv
         assert run(capsys, command, problem_file, *rest, "--max-tail-len", "6")[0] == 0
         assert len(built) <= most
@@ -799,8 +799,10 @@ class TestCollectorPause:
         words = [cq.to_group_word(g) for g in gens]
         calls = {
             "closure": lambda: sq.closure(gens, bound),
-            "paper": lambda: basis_mod.compute_S(basis_mod.paper_closure(gens, bound),
-                                                 check_stability=True),
+            "paper": lambda: basis_mod.compute_S(
+                sq.closure(graph := sq.check_size(gens, bound), bound,
+                           stop_when_contains=graph.basis()),
+                check_stability=True),
             "greedy": lambda: basis_mod.greedy_shrink(sq.closure(gens, bound)),
             "express": lambda: [sq.express(c, e) for e in c.elements[-5:]],
             "hall": lambda: ind.check_significant_factors(gens),

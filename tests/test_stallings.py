@@ -8,7 +8,13 @@ from freequandle import conj_quandle as cq
 from freequandle import independence as ind
 from freequandle import stallings
 from freequandle import subquandle as sq
-from freequandle.errors import AlphabetMismatch, ClosureTooLarge, EmptyGeneratorSet, NotInClosure
+from freequandle.errors import (
+    AlphabetMismatch,
+    BoundTooSmall,
+    ClosureTooLarge,
+    EmptyGeneratorSet,
+    NotInClosure,
+)
 from freequandle.free_group import Alphabet
 from freequandle.stallings import SubquandleGraph
 
@@ -79,7 +85,8 @@ class TestGraphAgainstClosure:
 
     def test_report_from_the_prefix(self, problems):
         for c in problems:
-            prefix = bs.paper_closure(c.generators, c.bound)
+            graph = sq.check_size(c.generators, c.bound)
+            prefix = sq.closure(graph, c.bound, stop_when_contains=graph.basis())
             assert prefix.elements == c.elements[:len(prefix)]
             report = bs.compute_S(prefix)
             assert report == bs.compute_S(c)
@@ -128,11 +135,42 @@ class TestPaperPath:
 
     def test_budget_up_front(self):
         gens = els(XY, "x^(y)", "y")  # 162 elements at L = 4
-        assert len(bs.paper_closure(gens, 4, max_elements=162)) == 4
+        graph = sq.check_size(gens, 4, max_elements=162)
+        assert len(sq.closure(graph, 4, 162, stop_when_contains=graph.basis())) == 4
         with pytest.raises(ClosureTooLarge) as exc:
-            bs.paper_closure(gens, 4, max_elements=161)
+            sq.check_size(gens, 4, max_elements=161)
         assert str(exc.value) == ("closure at bound L = 4 reached 162 elements, "
                                   "over the element budget of 161")
+
+    def test_check_size_returns_the_fold(self, monkeypatch):
+        folds = []
+        real = SubquandleGraph.__init__
+
+        def counting(self, elements):
+            folds.append(self)
+            real(self, elements)
+
+        monkeypatch.setattr(SubquandleGraph, "__init__", counting)
+        gens = els(XY, "x^(y)", "y", "x^(y)")
+        graph = sq.check_size(gens, 4)  # folded also without a budget
+        assert folds == [graph]
+        assert graph.generators == tuple(els(XY, "x^(y)", "y"))  # deduplicated
+        assert sq.check_size(graph, 4, 162) is graph
+        assert folds == [graph]
+        # each error is raised, nothing returned; before the fold where the
+        # generators alone tell
+        with pytest.raises(ClosureTooLarge, match="reached 162 elements"):
+            sq.check_size(graph, 4, 161)
+        with pytest.raises(ClosureTooLarge, match="reached 162 elements"):
+            sq.check_size(gens, 4, 161)
+        assert len(folds) == 2
+        with pytest.raises(BoundTooSmall):
+            sq.check_size(gens, 0)
+        with pytest.raises(ClosureTooLarge, match="reached 2 elements"):
+            sq.check_size(gens, 4, 1)
+        with pytest.raises(EmptyGeneratorSet):
+            sq.check_size([], 4)
+        assert len(folds) == 2
 
     @pytest.mark.parametrize("stability", [False, True])
     def test_basis_command_builds_no_full_closure(self, monkeypatch, tmp_path,

@@ -601,6 +601,13 @@ class TestExpress:
         with pytest.raises(NotInClosure):
             sq.express(sq.closure(els("x"), 4), el("y"))
 
+    def test_alphabet_mismatch(self):
+        # as for ``e in c``: x^(y) over "x y z" is from another alphabet,
+        # not an element the closure lacks
+        c = sq.closure(els("x^(y)", "y"), 2)
+        with pytest.raises(AlphabetMismatch, match="different alphabet"):
+            sq.express(c, cq.parse_element(XYZ, "x^(y)"))
+
     def test_every_element_expressible(self):
         c = sq.closure(els("x^(y)", "y"), 2)
         for e in c.elements:

@@ -126,9 +126,11 @@ def test_defaults():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # -S keeps site's own imports out, so only the package's are seen
+    # nor random, which only verify-axioms imports; -S keeps site's own
+    # imports out, so only the package's are seen
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import freequandle.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'random'}"
+            " & sys.modules.keys()))")
     src = str(Path(freequandle.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60, check=True)
