@@ -6,13 +6,18 @@ and returns its exit code; :func:`_emit` alone chooses the format: the text
 lines, or with ``--format machine`` one tab-separated record per line,
 ``kind=...`` first and the other non-None fields sorted by key, so identical
 inputs (and seeds) give byte-identical output.
+
+Each subcommand's arguments are declared once, in :data:`_COMMANDS`.  A
+well-formed argv is read off that table directly; any other, help and
+errors among them, goes to the argparse parser built from it, so argparse
+is imported only to print a help screen or an error.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
+from types import SimpleNamespace
 
 from . import basis as basis_mod
 from . import conj_quandle as cq
@@ -236,87 +241,132 @@ def cmd_express(args):
     return 1
 
 
-# subcommand -> its line in the root's -h, in the order -h lists them
+# the arguments that several subcommands share, each a flag or name with
+# the keywords that argparse's add_argument takes for it
+_FORMAT = ("--format", {"choices": ("text", "machine"), "default": "text"})
+_ALPHABET = ("--alphabet", {"required": True})
+_PROBLEM = ("file", {"help": "problem file (alphabet: header, one element per line)"})
+_BOUND = ("--max-tail-len", {"type": int, "default": DEFAULT_BOUND, "metavar": "L"})
+_BUDGET = ("--max-elements", {"type": int, "metavar": "N",
+                              "help": "element budget of every closure the command "
+                                      "builds; exceeding it is an input error (exit 2)"})
+
+# subcommand -> its line in the root's -h, and its arguments in the order its
+# -h lists them; the subcommands in the order the root's -h lists them
 _COMMANDS = {
-    "reduce": "reduce a word to normal form",
-    "qop": "apply a quandle operation to two elements",
-    "closure": "enumerate a bounded subquandle closure",
-    "basis": "compute and certify a free basis",
-    "check-independence": "run the independence checkers on a file of "
-                          "elements or group words",
-    "verify-axioms": "sample-check the quandle laws",
-    "express": "express a closure element over the generators"}
+    "reduce": ("reduce a word to normal form", (_FORMAT, _ALPHABET, ("word", {}))),
+    "qop": ("apply a quandle operation to two elements",
+            (_FORMAT, _ALPHABET, ("--op", {"choices": ("right", "left"), "default": "right"}),
+             ("element", {}), ("by", {}))),
+    "closure": ("enumerate a bounded subquandle closure", (_FORMAT, _PROBLEM, _BOUND, _BUDGET)),
+    "basis": ("compute and certify a free basis",
+              (_FORMAT, _PROBLEM, _BOUND, _BUDGET,
+               ("--method", {"choices": ("paper", "greedy"), "default": "paper"}),
+               ("--check-stability", {"action": "store_true", "default": False,
+                                      "help": "recompute the candidate at L+2 and flag a "
+                                              "change (paper method only)"}))),
+    "check-independence": ("run the independence checkers on a file of elements or group words",
+                           (_FORMAT, ("file", {"help": "file of elements or group words "
+                                                       "(alphabet: header, one per line)"}),
+                            ("--method", {"choices": ("hall", "nielsen", "both"),
+                                          "default": "both"}))),
+    "verify-axioms": ("sample-check the quandle laws",
+                      (_FORMAT, _ALPHABET, ("--samples", {"type": int, "default": 200}),
+                       ("--seed", {"type": int, "default": 0}),
+                       ("--max-tail-len", {"type": int, "default": 4, "metavar": "L"}))),
+    "express": ("express a closure element over the generators",
+                (_FORMAT, _PROBLEM, _BOUND, _BUDGET, ("element", {}))),
+}
 
 
-def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``p`` subcommand ``name``'s options, with ``command`` and the
-    handler (read from the module now, so a patched one is taken) as
-    defaults; return ``p``."""
-    p.set_defaults(command=name, func=globals()["cmd_" + name.replace("-", "_")])
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    if name in ("reduce", "qop", "verify-axioms"):
-        p.add_argument("--alphabet", required=True)
-    elif name != "check-independence":
-        p.add_argument("file", help="problem file (alphabet: header, "
-                       "one element per line)")
-        p.add_argument("--max-tail-len", type=int, default=DEFAULT_BOUND,
-                       metavar="L")
-        p.add_argument("--max-elements", type=int, metavar="N",
-                       help="element budget of every closure the command "
-                            "builds; exceeding it is an input error (exit 2)")
-    if name == "reduce":
-        p.add_argument("word")
-    elif name == "qop":
-        p.add_argument("--op", choices=("right", "left"), default="right")
-        p.add_argument("element")
-        p.add_argument("by")
-    elif name == "basis":
-        p.add_argument("--method", choices=("paper", "greedy"), default="paper")
-        p.add_argument("--check-stability", action="store_true",
-                       help="recompute the candidate at L+2 and flag a change "
-                            "(paper method only)")
-    elif name == "check-independence":
-        p.add_argument("file", help="file of elements or group words "
-                       "(alphabet: header, one per line)")
-        p.add_argument("--method", choices=("hall", "nielsen", "both"),
-                       default="both")
-    elif name == "verify-axioms":
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-tail-len", type=int, default=4, metavar="L")
-    elif name == "express":
-        p.add_argument("element")
+def _command_values(name: str) -> dict:
+    """Subcommand ``name``'s ``command`` and handler, read from the module
+    now, so that a patched handler is taken."""
+    return {"command": name, "func": globals()["cmd_" + name.replace("-", "_")]}
+
+
+def _add_options(p, name: str):
+    """Give the argparse parser ``p`` subcommand ``name``'s arguments from
+    :data:`_COMMANDS`, with :func:`_command_values` as defaults; return
+    ``p``."""
+    p.set_defaults(**_command_values(name))
+    for flag, keywords in _COMMANDS[name][1]:
+        p.add_argument(flag, **keywords)
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's full argument parser: the root and every subcommand."""
+def build_parser():
+    """The CLI's full argparse parser: the root and every subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="freequandle",
         description="Free-quandle arithmetic, subquandle closures, and "
                     "free-basis computation with certification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help in _COMMANDS.items():
+    for name, (help, _) in _COMMANDS.items():
         _add_options(sub.add_parser(name, help=help), name)
     return parser
 
 
-def parse_argv(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as :func:`build_parser`'s parser does, building one
-    parser where it can.
+def _read_table(argv: list[str]) -> SimpleNamespace | None:
+    """``argv``'s arguments read off :data:`_COMMANDS`, or None where only
+    argparse can judge it.
 
-    An argv that starts with a subcommand's name goes to that subcommand's
-    parser alone, built as the full parser builds it (same prog, options
-    and defaults).  Only a root-level argv, or one that leaves arguments
-    over, takes the full parser, so every root help screen and error is the
-    full parser's own.
+    The table reads an argv that names a subcommand first, then gives only
+    that subcommand's exact option strings (no abbreviation, no ``=``, no
+    ``--``), each with a value that does not start with ``-`` and that its
+    type and choices accept, every required option, and exactly its
+    positionals.  On such an argv argparse takes each token as the table
+    does, so both give the same arguments.
     """
-    if argv and argv[0] in _COMMANDS:
-        lone = argparse.ArgumentParser(prog="freequandle " + argv[0])
-        args, rest = _add_options(lone, argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _COMMANDS[argv[0]][1]
+    options = {flag: keywords for flag, keywords in arguments if flag[0] == "-"}
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            positionals.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[token] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[token] = value
+    names = [flag for flag, _ in arguments if flag[0] != "-"]
+    if len(positionals) != len(names) or any(
+            keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    values = _command_values(argv[0])
+    for flag, keywords in options.items():
+        values[flag[2:].replace("-", "_")] = given.get(flag, keywords.get("default"))
+    values.update(zip(names, positionals))
+    return SimpleNamespace(**values)
+
+
+def parse_argv(argv: list[str]):
+    """Parse ``argv`` as :func:`build_parser`'s parser does.
+
+    A well-formed argv is read off :data:`_COMMANDS` (:func:`_read_table`)
+    without building a parser or importing argparse.  Every other argv,
+    help and errors among them, goes to the full parser, so every help
+    screen and error is argparse's own.
+    """
+    return _read_table(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -326,10 +376,11 @@ def main(argv=None) -> int:
     The command runs with the cyclic garbage collector paused.  The
     package's own work makes no reference cycles, so reference counting
     frees all of it; the collections its allocations would trigger only
-    traverse live objects.  What a command leaves to the collector is
-    argparse's parser graph, a few dozen objects, freed at the next
-    collection.  The collector is switched back on, on every exit path
-    (argparse's ``SystemExit`` too), only if it was on at entry.
+    traverse live objects.  A well-formed command leaves the collector
+    nothing; only an argv that argparse parses (help, errors) leaves its
+    parser graph, a few dozen objects, freed at the next collection.  The
+    collector is switched back on, on every exit path (argparse's
+    ``SystemExit`` too), only if it was on at entry.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -4,7 +4,9 @@ import gc
 import hashlib
 import io
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -639,6 +641,16 @@ SHAPE_ARGVS = [
     ["closure", "problem.txt", "--bogus", "-h"],
     ["closure", "problem.txt", "--max-tail-len", "2", "--max-tail-len", "4"],
     ["verify-axioms", "--alphabet=x y", "--seed", "-1", "--he"],
+    # and edge tokens: empty, a leading space, what int() reads beyond
+    # ASCII digits, an option value that starts with "-" or is an option,
+    # and a repeated flag
+    ["reduce", "--alphabet", "x y", ""],
+    ["closure", " -x", "--max-tail-len", "1_0"],
+    ["closure", "problem.txt", "--max-elements", "08"],
+    ["verify-axioms", "--alphabet", "", "--samples", "٣", "--seed", "08"],
+    ["verify-axioms", "--alphabet", "x y", "--seed", "-1"],
+    ["basis", "problem.txt", "--method", "--format"],
+    ["basis", "problem.txt", "--check-stability", "--check-stability"],
 ]
 
 
@@ -707,12 +719,41 @@ _OPTION_TOKENS = {
     for name in cli._COMMANDS
 }
 _STRAY_TOKENS = ["problem.txt", "x", "x y", "2", "-1", "two", "machine", "greedy",
-                 "both", "left", "--", "-", "--bogus", "-z", "--format=xml"]
+                 "both", "left", "--", "-", "--bogus", "-z", "--format=xml",
+                 "", " -x", "1_0", "08", "٣"]
+
+_VALUES = ["problem.txt", "x y", "", " -x", "08"]
+_INTS = ["2", "08", "1_0", "٣", " 3 "]
+
+
+@st.composite
+def _table_argv(draw):
+    """An argv laid out as the option table reads one: a subcommand, its
+    positionals in order, and each option up to twice (a required one at
+    least once), in any order, with a value that its type or choices
+    mostly accept."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    positionals, options = [], []
+    for flag, keywords in cli._COMMANDS[name][1]:
+        if flag[0] != "-":
+            positionals.append(draw(st.sampled_from(_VALUES)))
+            continue
+        good = keywords.get("choices") or (_INTS if "type" in keywords else _VALUES)
+        values = st.sampled_from([*good, *good, "two", "xml"])
+        for _ in range(draw(st.integers(1 if keywords.get("required") else 0, 2))):
+            options.append([flag] if "action" in keywords else [flag, draw(values)])
+    options = draw(st.permutations(options))
+    at = sorted(draw(st.lists(st.integers(0, len(options)), min_size=len(positionals),
+                              max_size=len(positionals))))
+    argv = [name]
+    for i, group in enumerate([*options, []]):
+        argv += [positionals.pop(0) for _ in range(at.count(i))] + group
+    return argv
 
 
 class TestParserSelection:
-    """``main`` builds only the subcommand its argv names, and parses as
-    the full parser does."""
+    """``main`` reads a well-formed argv off the option table, builds the
+    full parser for any other, and parses as the full parser does."""
 
     @pytest.mark.parametrize("argv", ROOT_ARGVS + SUBCOMMAND_ARGVS + SHAPE_ARGVS, ids=str)
     def test_same_as_full_parser(self, monkeypatch, argv):
@@ -728,6 +769,12 @@ class TestParserSelection:
         full = _outcome(lambda: cli.build_parser().parse_args(argv))
         assert _outcome(lambda: _main_parse(argv)) == full
 
+    @settings(max_examples=300, deadline=None)
+    @given(_table_argv())
+    def test_same_as_full_parser_on_table_argv(self, argv):
+        full = _outcome(lambda: cli.build_parser().parse_args(argv))
+        assert _outcome(lambda: _main_parse(argv)) == full
+
     @pytest.mark.parametrize("argv, message", [
         ([], "required: command"),
         (["frobnicate"], "argument command: invalid choice"),
@@ -737,9 +784,11 @@ class TestParserSelection:
         assert result == ("exit", 2) and message in err
 
     @pytest.mark.parametrize("argv, parsers", [
-        (["check-independence"], 1),  # the subcommand's parser alone
-        (["basis", "--max-tail-len", "2"], 1),
-    ], ids=["check-independence", "basis"])
+        (["check-independence"], 0),  # read off the table
+        (["basis", "--max-tail-len", "2"], 0),
+        # an abbreviation: the full parser, the root and its 7 subcommands
+        (["basis", "--max-t", "2"], 8),
+    ], ids=["check-independence", "basis", "basis-abbreviated"])
     def test_parsers_built_per_call(self, capsys, monkeypatch, problem_file,
                                     argv, parsers):
         built = []
@@ -753,6 +802,28 @@ class TestParserSelection:
         code, out, _ = run(capsys, argv[0], problem_file, *argv[1:])
         assert code in (0, 1) and out
         assert len(built) == parsers
+
+
+def test_well_formed_commands_import_no_argparse(tmp_path):
+    # -S keeps site's own imports out, so only the package's are seen
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from freequandle.cli import main; "
+            "code = main(sys.argv[2:]); "
+            "print(sorted({'argparse', 'gettext'} & sys.modules.keys())); sys.exit(code)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    elems = tmp_path / "elems.txt"
+    elems.write_text("alphabet: x y\nx^(y)\ny\n")
+
+    def run_s(*argv):
+        return subprocess.run([sys.executable, "-S", "-c", code, src, *argv],
+                              capture_output=True, text=True, timeout=60)
+
+    proc = run_s("reduce", "--alphabet", "x y", "x x^-1 y")
+    assert (proc.returncode, proc.stdout) == (0, "y\n[]\n")
+    proc = run_s("check-independence", str(elems), "--method", "nielsen")
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "[]")
+    # help still comes from argparse
+    proc = run_s("basis", "-h")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: freequandle basis")
 
 
 @pytest.fixture
@@ -788,6 +859,19 @@ class TestCollectorPause:
         capsys.readouterr()
         assert result == code
         assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--alphabet", "x y", "x x^-1 y"],
+        ["check-independence", "{problem}", "--method", "nielsen"],
+        ["basis", "{problem}", "--max-tail-len", "4", "--format", "machine"],
+    ], ids=["reduce", "check-independence", "basis"])
+    def test_well_formed_command_leaves_no_garbage(self, capsys, collector,
+                                                   problem_file, argv):
+        gc.disable()
+        gc.collect()
+        assert cli.main([a.format(problem=problem_file) for a in argv]) == 0
+        capsys.readouterr()
+        assert gc.collect() == 0
 
     @pytest.mark.parametrize("gens, bound", [
         (("x^(y)", "y"), 6),
