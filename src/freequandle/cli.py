@@ -252,7 +252,9 @@ _BUDGET = ("--max-elements", {"type": int, "metavar": "N",
                                       "builds; exceeding it is an input error (exit 2)"})
 
 # subcommand -> its line in the root's -h, and its arguments in the order its
-# -h lists them; the subcommands in the order the root's -h lists them
+# -h lists them; the subcommands in the order the root's -h lists them.  Only
+# "--" options, store_true flags and one-value arguments appear, which is all
+# that _read_table reads
 _COMMANDS = {
     "reduce": ("reduce a word to normal form", (_FORMAT, _ALPHABET, ("word", {}))),
     "qop": ("apply a quandle operation to two elements",
