@@ -71,9 +71,10 @@ class _Value:
     with its class attribute, if any, as its default.  It is equal to an
     instance of its own class with equal fields (``NotImplemented`` for any
     other class), hashes by them, names them in its repr and raises
-    ``AttributeError`` on assignment and deletion.  A class with
-    ``__slots__`` (faster reads, no instance dict) writes its own
-    ``__init__``, which sets the fields with ``object.__setattr__``.
+    ``AttributeError`` on assignment and deletion.  It alone gives the value
+    classes equality and hashing.  A class with ``__slots__`` (faster reads,
+    no instance dict) writes only its own ``__init__``, which checks its
+    values and sets the fields with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -83,23 +84,21 @@ class _Value:
         # a subclass that annotates nothing keeps its base's fields
         cls._fields = tuple(cls.__dict__.get("__annotations__", cls._fields))
         # a call gives at least the fields up to the last one without a default
-        cls._required = max([i + 1 for i, name in enumerate(cls._fields)
-                             if not hasattr(cls, name)], default=0)
+        required = max([i + 1 for i, name in enumerate(cls._fields)
+                        if not hasattr(cls, name)], default=0)
         cls._key = property(operator.attrgetter(*cls._fields))
         # after n positional values, the names a keyword may give, and those
         # it must give
         n = len(cls._fields)
         cls._after = [frozenset(cls._fields[k:]) for k in range(n + 1)]
-        cls._needed = [frozenset(cls._fields[k:cls._required]) for k in range(n + 1)]
+        cls._needed = [frozenset(cls._fields[k:required]) for k in range(n + 1)]
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or not self._required <= len(args) <= len(fields):
-            n = len(args)
-            if not (n <= len(fields) and self._needed[n] <= kwargs.keys() <= self._after[n]):
-                raise TypeError(f"{type(self).__name__}() takes the fields {fields}, "
-                                "each at most once, and those without a default")
-            fields, args = fields[:n] + tuple(kwargs), args + tuple(kwargs.values())
+        fields, n = self._fields, len(args)
+        if not (n <= len(fields) and self._needed[n] <= kwargs.keys() <= self._after[n]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}, "
+                            "each at most once, and those without a default")
+        fields, args = fields[:n] + tuple(kwargs), args + tuple(kwargs.values())
         for name, value in zip(fields, args):  # a field not given keeps its default
             object.__setattr__(self, name, value)
 
@@ -221,16 +220,6 @@ class Word(_Value):
             raise ValueError(f"word {letters} is not reduced")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):  # the fields' comparison, without _key's call
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.letters, self.alphabet) == (other.letters, other.alphabet)
-
-    def __hash__(self) -> int:
-        # equal words have equal letters, so they alone are hashed: the
-        # alphabet's hash would cost one more Python call per word
-        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -232,9 +232,12 @@ class SubquandleGraph:
         (F4).  With ``cap``, counting stops once the count passes it, and a
         count above ``cap`` is returned.
 
-        With one loop, the subquandle is that loop's element alone.  With
-        more, a DP over the walks' last edges (in a folded graph, the vertex
-        and the last letter) counts, length by length, the walks from the
+        With one loop, the subquandle is that loop's element alone.  The
+        general count gives the same number, but a count of at most 1 never
+        passes a cap, so it would step through every length up to
+        ``bound``: 10**9 steps for ``size_within(10**9)``.  With more, a DP
+        over the walks' last edges (in a folded graph, the vertex and the
+        last letter) counts, length by length, the walks from the
         base that never turn straight back: those that go on from v by lt
         are those that end at v, less those that entered v by ``lt^-1``.
         Each walk adds its vertex's x-loops with x not its last letter.

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import os
 import random
 import subprocess
 import sys
@@ -521,6 +522,28 @@ class TestVerifyAxioms:
                              "--max-tail-len", "-2")
         assert (code, out, err) == (2, "", "error: max_tail_len must be >= 0\n")
 
+    def test_tail_length_above_the_bound_is_input_error(self):
+        # under a 600 MB address-space cap, so that a tail that is not
+        # bounded fails with MemoryError (exit 1) instead of taking the
+        # machine's memory
+        code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+                "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); "
+                "from freequandle.cli import main; sys.exit(main(sys.argv[2:]))")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+
+        def verify(tail_len):
+            return subprocess.run(
+                [sys.executable, "-S", "-c", code, src, "verify-axioms", "--alphabet", "x y",
+                 "--samples", "1", "--max-tail-len", str(tail_len)],
+                capture_output=True, text=True, timeout=60)
+
+        proc = verify(200_000_000)
+        bound = cq.MAX_SAMPLE_TAIL_LEN
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: max_tail_len must be <= {bound}\n")
+        proc = verify(bound)
+        assert proc.returncode == 0 and proc.stdout.startswith("axiom suite: PASS")
+
 
 class TestExpress:
     def test_expressible(self, capsys, problem_file):
@@ -576,6 +599,24 @@ class TestDeterminismAndRoundTrip:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_output_independent_of_hash_seed(self, problem_file):
+        # an element's hash includes its alphabet's, which Python randomizes
+        # per process through the generator names
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        commands = [["basis", problem_file, "--method", "paper", "--check-stability"],
+                    ["basis", problem_file, "--method", "greedy"],
+                    ["closure", problem_file]]
+
+        def outputs(seed):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            return [subprocess.run([sys.executable, "-m", "freequandle.cli", *argv,
+                                    "--max-tail-len", "6"], env=env, capture_output=True,
+                                   timeout=120, check=True).stdout
+                    for argv in commands]
+
+        first = outputs("1")
+        assert all(first) and outputs("2") == first
 
     def test_word_round_trip(self):
         rng = random.Random(11)

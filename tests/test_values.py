@@ -3,7 +3,9 @@ them, and importing the CLI loads none of ``dataclasses``, ``inspect`` or
 ``typing``."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +125,17 @@ def test_defaults():
     assert sq.QuandleTerm() == sq.QuandleTerm(None, None, None, None)
     assert sq.ClosureSet(C.generators, C.bound, C.raw, C.steps).max_elements is None
     assert Word(XY).letters == ()
+
+
+def test_only_value_defines_equality_and_hashing():
+    owners = set()
+    for info in pkgutil.iter_modules(freequandle.__path__):
+        module = importlib.import_module(f"freequandle.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                owners |= {f"{cls.__qualname__}.{name}" for name in ("__eq__", "__hash__")
+                           if name in vars(cls)}
+    assert owners == {"_Value.__eq__", "_Value.__hash__"}
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
