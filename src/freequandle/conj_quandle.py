@@ -11,7 +11,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from . import free_group as fg
-from .errors import AlphabetMismatch, NotInFreeQuandle
+from .errors import NotInFreeQuandle
 from .free_group import Alphabet, Word, _Value
 
 RIGHT = 1   # the operation a ▷ q, conjugation by q
@@ -88,15 +88,15 @@ def act(a: QuandleElement, q: QuandleElement, eps: int = RIGHT) -> QuandleElemen
     """Conjugation action: eps=+1 is a ▷ q, eps=-1 is a ◁ q.
 
     The result is ``axis(a)^(tail(a) · gw(q)^eps)`` in canonical form; the
-    axis never changes.
+    axis never changes.  Elements of two alphabets raise
+    :class:`errors.AlphabetMismatch`.
     """
-    if a.alphabet != q.alphabet:
-        raise AlphabetMismatch("elements come from different alphabets")
+    alphabet = fg.one_alphabet((a, q), "elements")
     gw = fg.conjugate_word(q.axis, q.tail.letters)
     if eps == -1:
         gw = fg.inverse(gw)
     tail = canonical_tail(a.axis, fg.reduced_product(a.tail.letters, gw))
-    return QuandleElement(a.axis, Word(a.alphabet, tail))
+    return QuandleElement(a.axis, Word(alphabet, tail))
 
 
 def shrink_index(elements) -> tuple[dict, dict]:
@@ -180,8 +180,9 @@ def spell_element(alphabet: Alphabet, axis: int, letters: tuple[int, ...]) -> st
     return f"{name}^({alphabet.spell(letters)})" if letters else name
 
 
-def random_element(alphabet: Alphabet, max_tail_len: int, rng: random.Random) -> QuandleElement:
-    """A uniformly-shaped random canonical element (for axiom sampling)."""
+def random_element(alphabet: Alphabet, max_tail_len: int, rng) -> QuandleElement:
+    """A uniformly-shaped random canonical element (for axiom sampling),
+    drawn with ``rng``, a ``random.Random``."""
     axis = rng.randrange(len(alphabet))
     # over one generator the only canonical elements are the generators
     length = 0 if len(alphabet) == 1 else rng.randint(0, max_tail_len)

@@ -72,9 +72,12 @@ class _Value:
     instance of its own class with equal fields (``NotImplemented`` for any
     other class), hashes by them, names them in its repr and raises
     ``AttributeError`` on assignment and deletion.  It alone gives the value
-    classes equality and hashing.  A class with ``__slots__`` (faster reads,
-    no instance dict) writes only its own ``__init__``, which checks its
-    values and sets the fields with ``object.__setattr__``.
+    classes equality and hashing, and it builds every one that checks no
+    value.  Only :class:`Alphabet`, :class:`Word` and
+    ``conj_quandle.QuandleElement`` check theirs, so only they write an
+    ``__init__``: it checks the values and sets the fields with
+    ``object.__setattr__``, under ``__slots__`` (faster reads, no instance
+    dict).
     """
 
     __slots__ = ()
@@ -231,13 +234,6 @@ class Word(_Value):
         return not self.letters
 
 
-def _check_same_alphabet(u: Word, v: Word) -> None:
-    if u.alphabet != v.alphabet:
-        raise AlphabetMismatch(
-            f"alphabets {u.alphabet.names} and {v.alphabet.names} differ"
-        )
-
-
 def one_alphabet(items, what: str) -> Alphabet:
     """The alphabet of the first item; raise :class:`AlphabetMismatch`
     unless every item has it.  Items parsed together share one alphabet
@@ -256,7 +252,7 @@ def reduce(alphabet: Alphabet, raw) -> Word:
 
 def multiply(u: Word, v: Word) -> Word:
     """Reduced product ``uv``."""
-    _check_same_alphabet(u, v)
+    one_alphabet((u, v), "words")
     return Word(u.alphabet, reduced_product(u.letters, v.letters))
 
 
@@ -274,8 +270,7 @@ def cancellation_depth(u: tuple[int, ...], v: tuple[int, ...]) -> int:
 
 
 def conjugate(g: Word, h: Word, eps: int = 1) -> Word:
-    """Reduced form of ``(h^eps)^-1 g h^eps``."""
-    _check_same_alphabet(g, h)
+    """Reduced form of ``(h^eps)^-1 g h^eps``, by :func:`multiply`."""
     he = h if eps == 1 else invert(h)
     return multiply(multiply(invert(he), g), he)
 

@@ -72,7 +72,7 @@ from functools import cached_property
 
 from . import free_group as fg
 from .conj_quandle import QuandleElement
-from .errors import AlphabetMismatch, EmptyGeneratorSet
+from .errors import EmptyGeneratorSet
 from .free_group import Word
 
 
@@ -191,9 +191,9 @@ class SubquandleGraph:
 
     def member(self, e: QuandleElement) -> bool:
         """Whether e is in the subquandle S generates (F2): exact, at any
-        tail length."""
-        if e.alphabet != self.alphabet:
-            raise AlphabetMismatch("element from a different alphabet")
+        tail length.  An e from another alphabet raises
+        :class:`errors.AlphabetMismatch`."""
+        fg.one_alphabet((e, self.generators[0]), "element and generators")
         fold = self.fold
         p, k = fold.read(fold.find(0), fg.inverse(e.tail.letters))
         return k == len(e.tail) and (p, e.axis + 1) in self.loops

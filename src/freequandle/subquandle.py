@@ -17,7 +17,6 @@ from . import conj_quandle as cq
 from . import free_group as fg
 from .conj_quandle import QuandleElement, parse_element
 from .errors import (
-    AlphabetMismatch,
     BoundTooSmall,
     ClosureTooLarge,
     EmptyGeneratorSet,
@@ -35,20 +34,10 @@ RawElement = tuple[int, tuple[int, ...]]  # (axis, canonical tail letters)
 class QuandleTerm(_Value):
     """Expression tree over a generating list; Leaf(i) names generator i."""
 
-    __slots__ = ("eps", "left", "right", "leaf")
-    eps: int | None
-    left: QuandleTerm | None
-    right: QuandleTerm | None
-    leaf: int | None
-
-    # one term per step of a witness: built, as Word is, without the
-    # generic __init__'s keyword matching
-    def __init__(self, eps: int | None = None, left: QuandleTerm | None = None,
-                 right: QuandleTerm | None = None, leaf: int | None = None):
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "leaf", leaf)
+    eps: int | None = None
+    left: QuandleTerm | None = None
+    right: QuandleTerm | None = None
+    leaf: int | None = None
 
     def evaluate(self, generators) -> QuandleElement:
         if self.leaf is not None:
@@ -94,9 +83,9 @@ class ClosureSet(_Value):
         return len(self.raw)
 
     def __contains__(self, e: QuandleElement) -> bool:
-        """Bounded membership: False means "not found within bound", not a proof."""
-        if e.alphabet != self.alphabet:
-            raise AlphabetMismatch("element from a different alphabet")
+        """Bounded membership: False means "not found within bound", not a
+        proof.  An e from another alphabet raises :class:`errors.AlphabetMismatch`."""
+        fg.one_alphabet((e, self.generators[0]), "element and generators")
         return e.tail.letters in self.index[e.axis]
 
     @cached_property
@@ -452,10 +441,8 @@ def _checked_generators(gens, bound: int, max_elements: int | None):
     gens = list(dict.fromkeys(graph.generators if graph else gens))
     if not gens:
         raise EmptyGeneratorSet("closure needs at least one generator")
-    alphabet = gens[0].alphabet
+    fg.one_alphabet(gens, "generators")
     for g in gens:
-        if g.alphabet != alphabet:
-            raise AlphabetMismatch("generators come from different alphabets")
         if len(g.tail) > bound:
             raise BoundTooSmall(f"generator {g} has tail length {len(g.tail)} > bound {bound}")
     if max_elements is not None and len(gens) > max_elements:
@@ -517,7 +504,7 @@ def closure(gens, bound: int = DEFAULT_BOUND, max_elements: int | None = None,
     ``stop_when_contains`` stops enumeration as soon as all listed elements
     are present; the result is then a prefix of the full closure whose
     derivations are still valid.  A generator or a listed element from
-    another alphabet raises :class:`AlphabetMismatch`.
+    another alphabet raises :class:`errors.AlphabetMismatch`.
 
     ``gens`` may also be the generators' folded graph, so that a caller
     who has it folds them once: the size is then counted on it, and the
@@ -559,7 +546,7 @@ def express(c: ClosureSet, e: QuandleElement) -> QuandleTerm:
     """A term over c.generators evaluating to e, replayed before returning.
 
     An e not in c raises :class:`NotInClosure`, and, as for ``e in c``, an
-    e from another alphabet :class:`AlphabetMismatch`.
+    e from another alphabet :class:`errors.AlphabetMismatch`.
 
     The term is built by walking c's steps back from e's index, so no
     element of c is wrapped; the replay builds the elements it evaluates.

@@ -103,7 +103,7 @@ class TestAct:
 
     def test_alphabet_mismatch(self):
         other = Alphabet(("x",))
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             cq.act(el("x"), QuandleElement(0, fg.Word(other)), RIGHT)
 
     @given(elements, elements, st.sampled_from([RIGHT, LEFT]))

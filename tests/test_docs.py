@@ -10,6 +10,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import freequandle
@@ -81,3 +82,30 @@ class TestReferences:
 
     def test_all_names(self):
         assert _unresolved(("__all__", freequandle, n) for n in freequandle.__all__) == []
+
+
+def _hinted():
+    """Every function, method and class that a package module defines, with
+    a property's getter and a cached property's function as its methods."""
+    for module in MODULES.values():
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            yield obj
+            if isinstance(obj, type):
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "__func__", attr)  # classmethod, staticmethod
+                    attr = getattr(attr, "fget", None) or getattr(attr, "func", None) or attr
+                    if callable(attr) and getattr(attr, "__module__", None) == module.__name__:
+                        yield attr
+
+
+def test_annotations_resolve():
+    # each annotation names what its module imports or defines
+    unresolved = []
+    for obj in _hinted():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append((obj.__qualname__, str(exc)))
+    assert unresolved == []

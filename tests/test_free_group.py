@@ -66,7 +66,7 @@ class TestMultiply:
 
     def test_alphabet_mismatch(self):
         other = Alphabet(("x", "y", "z"))
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             fg.multiply(w("x"), Word(other, (1,)))
 
     @given(words, words, words)

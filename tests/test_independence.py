@@ -98,7 +98,7 @@ class TestSignificantFactors:
     def test_mixed_alphabets_rejected(self):
         # x over "x y" has the raw letters of x over "x y z"
         mixed = [cq.parse_element(XY, "x"), cq.parse_element(XYZ, "x")]
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             ind.check_significant_factors(mixed)
 
 
@@ -319,7 +319,7 @@ class TestNielsen:
 
     def test_mixed_alphabets_rejected(self):
         # the two words' raw letters would fold to rank 1
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             ind.nielsen_independent([w("x"), fg.parse_word(XYZ, "x")])
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from freequandle import basis as bs
 from freequandle import cli
@@ -107,9 +108,9 @@ class TestGraph:
         assert not graph.member(cq.parse_element(XYZ, "x^(" + "y z " * 50 + ")"))
 
     def test_alphabet_checked(self):
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             SubquandleGraph(els(XY, "x") + els(XYZ, "y"))
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             SubquandleGraph(els(XY, "x")).member(cq.parse_element(XYZ, "x"))
 
     def test_empty_set_rejected(self):
@@ -239,3 +240,73 @@ class TestPaperPath:
         code = cli.main(["express", str(path), "x^(y y)", "--max-tail-len", "4", *extra])
         assert (code, capsys.readouterr().err) == outcome
         assert len(folds) == 1
+
+
+# the element budget of the closures the large-bound properties enumerate
+LARGE_BOUND_BUDGET = 2000
+
+
+@st.composite
+def large_bound_problems(draw):
+    """A generating set drawn as :func:`scrambled_problems` draws one, with
+    a bound from its longest tail up to 40."""
+    gens = scrambled_problems(draw(st.randoms(use_true_random=False)), 1)[0]
+    longest = max(len(g.tail) for g in gens)
+    assume(longest <= 40)
+    return gens, draw(st.integers(longest, 40))
+
+
+@pytest.fixture(scope="module")
+def problem_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("large_bound") / "problem.txt"
+
+
+class TestLargeBounds:
+    """Outcomes at bounds up to 40, checked against the folded graph rather
+    than against whole closures.  A draw whose enumerated closures pass the
+    budget is rejected."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(large_bound_problems())
+    def test_paper_basis_certifies(self, problem):
+        gens, bound = problem
+        try:  # cli.cmd_basis's path without --max-elements
+            graph = sq.check_size(gens, bound)
+            c = sq.closure(graph, bound, LARGE_BOUND_BUDGET, stop_when_contains=graph.basis())
+            report = bs.compute_S(c)
+        except ClosureTooLarge:
+            reject()
+        assert report.certified
+        assert len(set(report.candidate)) == len(report.candidate)
+        assert set(report.candidate) == SubquandleGraph(gens).basis()  # F3
+        spanned = SubquandleGraph(report.candidate)  # F2, both ways
+        assert all(map(spanned.member, gens))
+        assert all(map(SubquandleGraph(gens).member, report.candidate))
+        assert all(term.evaluate(report.candidate) == g
+                   for g, term in report.witnesses.items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(large_bound_problems(), st.randoms(use_true_random=False))
+    def test_express_of_a_member_replays(self, problem, rng):
+        gens, bound = problem
+        e = rng.choice(gens)
+        for _ in range(rng.randint(1, 3)):
+            e = cq.act(e, rng.choice(gens), rng.choice((1, -1)))
+        assume(len(e.tail) <= bound)
+        try:
+            c = sq.closure(gens, bound, LARGE_BOUND_BUDGET, stop_when_contains=[e])
+        except ClosureTooLarge:
+            reject()
+        assert sq.express(c, e).evaluate(c.generators) == e
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=large_bound_problems(), rng=st.randoms(use_true_random=False))
+    def test_cli_express_of_a_non_member_exits_1(self, problem, rng, problem_file):
+        gens, bound = problem
+        alphabet = gens[0].alphabet
+        e = cq.random_element(alphabet, bound, rng)
+        assume(not SubquandleGraph(gens).member(e))
+        problem_file.write_text(f"alphabet: {' '.join(alphabet.names)}\n"
+                                + "".join(f"{g}\n" for g in gens))
+        assert cli.main(["express", str(problem_file), str(e),
+                         "--max-tail-len", str(bound)]) == 1

@@ -52,14 +52,21 @@ class TestClosure:
 
     def test_alphabet_mismatch(self):
         other = cq.parse_element(XYZ, "x")
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             sq.closure([el("x"), other], 4)
         c = sq.closure(els("x^(y)", "y"), 4)
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             other in c
         # x over "x y z" has the raw letters of x over "x y", a member of c
-        with pytest.raises(AlphabetMismatch):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             sq.closure(c.generators, 4, stop_when_contains=[other])
+
+    def test_alphabets_checked_before_tail_lengths(self):
+        # the first generator's tail is also longer than the bound
+        mixed = [el("x^(y x)"), cq.parse_element(XYZ, "z")]
+        for check in (sq.closure, sq.check_size):
+            with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
+                check(mixed, 1)
 
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
@@ -605,7 +612,7 @@ class TestExpress:
         # as for ``e in c``: x^(y) over "x y z" is from another alphabet,
         # not an element the closure lacks
         c = sq.closure(els("x^(y)", "y"), 2)
-        with pytest.raises(AlphabetMismatch, match="different alphabet"):
+        with pytest.raises(AlphabetMismatch, match="come from different alphabets"):
             sq.express(c, cq.parse_element(XYZ, "x^(y)"))
 
     def test_every_element_expressible(self):
